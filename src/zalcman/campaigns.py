@@ -1,13 +1,17 @@
 """Seeded verification campaigns with machine-readable reports.
 
 Each campaign replays one of the package's inequality or identity suites
-over a deterministic pseudo-random stream: sample i is generated from the
-sub-seed (seed, i), so reports are reproducible, order-independent, and
-safe to shard.  Bound campaigns (caratheodory, zalcman1d, ball, domain)
-track the raw functional value against its theorem bound; identity
-campaigns (gradients, reduction, sharpness) track residuals normalized by
-their per-check tolerance, so a margin below -tolerance always means a
-genuine defect regardless of campaign kind.
+over a deterministic pseudo-random stream, so reports are reproducible,
+order-independent, and safe to shard.  In the one-variable campaigns
+(caratheodory, zalcman1d) sample i is a pure function of (seed, i) under
+the counter-based stream of ``herglotz.uniforms``, and the whole batch goes
+through one vectorised kernel; the several-variables campaigns draw sample
+i from ``np.random.default_rng(subseed(seed, i))``.  Bound campaigns
+(caratheodory, zalcman1d, ball, domain) track the raw functional value
+against its theorem bound; identity campaigns (gradients, reduction,
+sharpness) track residuals normalized by their per-check tolerance, so a
+margin below -tolerance always means a genuine defect regardless of
+campaign kind.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -32,7 +37,7 @@ from .geometry import (
     sup_space,
     wirtinger_fd_gradient,
 )
-from .herglotz import sample_measure
+from .herglotz import HerglotzMeasure, batch_margins, batch_moments, modulus, sample_batch
 from .mappings import (
     functional_A,
     functional_B,
@@ -43,9 +48,13 @@ from .mappings import (
     sample_lifted_spec,
     zalcman_nd,
 )
-from .starlike import ZalcmanOrder, coeffs_from_p, search_extremal, zalcman_J
+from .starlike import ZalcmanOrder, batch_coeffs, batch_zalcman, search_extremal
 
 DEFAULT_TOLERANCE = 1e-9
+
+# Version of the report contract.  2: the one-variable campaigns draw their
+# samples from the counter-based stream, and JSON reports carry this key.
+REPORT_VERSION = 2
 
 # Per-check residual tolerances for the identity campaigns; margins are
 # reported as 1 - residual/tolerance so the pass criterion is uniform.
@@ -113,6 +122,7 @@ class CampaignReport:
 
     def to_json(self) -> dict:
         obj = {
+            "version": REPORT_VERSION,
             "campaign": self.campaign,
             "seed": self.seed,
             "samples": self.samples,
@@ -151,44 +161,55 @@ def _complex_list(v) -> list[list[float]]:
     return [[c.real, c.imag] for c in np.asarray(v, dtype=complex)]
 
 
+def violation_rows(margins: np.ndarray, tolerance: float) -> np.ndarray:
+    """Indices of the rows whose margin is not >= -tolerance; a NaN margin
+    is a violation."""
+    return np.flatnonzero(~(margins >= -tolerance))
+
+
 def _run_caratheodory(cfg: CampaignConfig, _space):
-    rows, violations = [], []
-    for i in range(cfg.samples):
-        mu = sample_measure(subseed(cfg.seed, i))
-        m = mu.margins()
-        margin = min(m)
-        rows.append((i, 2.0 - margin, margin))
-        if margin < -cfg.tolerance:
-            violations.append(
-                {"index": i, "measure": mu.to_json(), "margins": list(m)}
-            )
-    return rows, violations, 2.0, None
+    weights, angles = sample_batch(cfg.seed, np.arange(cfg.samples))
+    per_inequality = batch_margins(weights, angles)
+    margins = per_inequality.min(axis=1)
+    violations = [
+        {
+            "index": int(i),
+            "measure": HerglotzMeasure.from_row(weights[i], angles[i]).to_json(),
+            "margins": per_inequality[i].tolist(),
+        }
+        for i in violation_rows(margins, cfg.tolerance)
+    ]
+    return 2.0 - margins, margins, violations, 2.0, None
 
 
 def _run_zalcman1d(cfg: CampaignConfig, _space):
     order = ZalcmanOrder(*cfg.order)
-    bound = order.bound
-    rows, violations = [], []
-    for i in range(cfg.samples):
-        mu = sample_measure(subseed(cfg.seed, i))
-        coeffs = coeffs_from_p(mu, order=order.top_coefficient)
-        value = abs(zalcman_J(coeffs, order))
-        margin = bound - value
-        rows.append((i, value, margin))
-        if margin < -cfg.tolerance:
-            violations.append({"index": i, "measure": mu.to_json(), "value": value})
-    return rows, violations, bound, None
+    top = order.top_coefficient
+    weights, angles = sample_batch(cfg.seed, np.arange(cfg.samples))
+    a = batch_coeffs(batch_moments(weights, angles, top - 1), top)
+    values = modulus(batch_zalcman(a, order))
+    margins = order.bound - values
+    violations = [
+        {
+            "index": int(i),
+            "measure": HerglotzMeasure.from_row(weights[i], angles[i]).to_json(),
+            "value": float(values[i]),
+        }
+        for i in violation_rows(margins, cfg.tolerance)
+    ]
+    return values, margins, violations, order.bound, None
 
 
 def _run_lifted_bound(cfg: CampaignConfig, space: SpaceSpec, mode: str):
-    rows, violations = [], []
+    values, margins, violations = [], [], []
     for i in range(cfg.samples):
         rng = np.random.default_rng(subseed(cfg.seed, i))
         spec = sample_lifted_spec(space, rng)
         z = sample_point(space, rng)
         value = zalcman_nd(space, spec, z, mode=mode).zalcman
         margin = 2.0 - value
-        rows.append((i, value, margin))
+        values.append(value)
+        margins.append(margin)
         if margin < -cfg.tolerance:
             violations.append(
                 {
@@ -198,7 +219,7 @@ def _run_lifted_bound(cfg: CampaignConfig, space: SpaceSpec, mode: str):
                     "value": value,
                 }
             )
-    return rows, violations, 2.0, None
+    return values, margins, violations, 2.0, None
 
 
 def _run_ball(cfg, space):
@@ -213,7 +234,7 @@ def _run_gradients(cfg: CampaignConfig, space: SpaceSpec):
     """Euler identity, scale/phase covariance, and the finite-difference
     cross-check of the gauge gradient, on sphere points well off E (the
     FD stencil needs quantitative smoothness, not just z not in E)."""
-    rows, violations = [], []
+    values, margins, violations = [], [], []
     for i in range(cfg.samples):
         rng = np.random.default_rng(subseed(cfg.seed, i))
         z = sample_direction(space, rng, min_gap=GRAD_MIN_GAP)
@@ -240,18 +261,19 @@ def _run_gradients(cfg: CampaignConfig, space: SpaceSpec):
         }
         value = max(residuals.values())
         margin = 1.0 - value
-        rows.append((i, value, margin))
+        values.append(value)
+        margins.append(margin)
         if margin < -cfg.tolerance:
             violations.append(
                 {"index": i, "z": _complex_list(z), "residuals": residuals}
             )
-    return rows, violations, 1.0, None
+    return values, margins, violations, 1.0, None
 
 
 def _run_reduction(cfg: CampaignConfig, space: SpaceSpec):
     """Scalar-reduction residuals plus agreement of the closed-form
     functionals with their explicit pairing and gradient routes."""
-    rows, violations = [], []
+    values, margins, violations = [], [], []
     for i in range(cfg.samples):
         rng = np.random.default_rng(subseed(cfg.seed, i))
         spec = sample_lifted_spec(space, rng)
@@ -265,7 +287,8 @@ def _run_reduction(cfg: CampaignConfig, space: SpaceSpec):
             dual = max(dual, abs(a0 - a1), abs(a0 - b1))
         value = max(red / REDUCTION_TOL, dual / DUAL_PATH_TOL)
         margin = 1.0 - value
-        rows.append((i, value, margin))
+        values.append(value)
+        margins.append(margin)
         if margin < -cfg.tolerance:
             violations.append(
                 {
@@ -276,7 +299,7 @@ def _run_reduction(cfg: CampaignConfig, space: SpaceSpec):
                     "dual_path_residual": dual,
                 }
             )
-    return rows, violations, 1.0, None
+    return values, margins, violations, 1.0, None
 
 
 def _dyadic_direction(space: SpaceSpec) -> np.ndarray:
@@ -294,7 +317,7 @@ def _run_sharpness(cfg: CampaignConfig, space: SpaceSpec):
     evaluated by their continuous extension, since the closed form
     f_{k-1}(z)/rho^{k-1} does not involve the gradient at all.
     """
-    rows, violations = [], []
+    values, margins, violations = [], [], []
 
     u = _dyadic_direction(space)
     fv = zalcman_nd(space, make_extremal_ball(space, u), 0.75 * u, mode="ball")
@@ -321,17 +344,17 @@ def _run_sharpness(cfg: CampaignConfig, space: SpaceSpec):
             abs(vals[0] - 2.0), abs(vals[1] - 3.0), abs(vals[2] - 4.0), abs(zalc - 2.0)
         )
         margin = 1.0 - defect / SHARPNESS_TOL
-        rows.append((i, zalc, margin))
+        values.append(zalc)
+        margins.append(margin)
         if margin < -cfg.tolerance:
             violations.append({"index": i, "mode": mode, "defect": defect})
-    return rows, violations, 2.0, None
+    return values, margins, violations, 2.0, None
 
 
 def _run_search(cfg: CampaignConfig, _space):
     order = ZalcmanOrder(*cfg.order)
     result = search_extremal(order, cfg.budget, cfg.seed)
     margin = order.bound - result.value
-    rows = [(0, result.value, margin)]
     violations = []
     if margin < -cfg.tolerance:
         violations.append(
@@ -343,7 +366,7 @@ def _run_search(cfg: CampaignConfig, _space):
         "evaluations": result.evaluations,
         "best_measure": result.measure.to_json(),
     }
-    return rows, violations, order.bound, extras
+    return [result.value], [margin], violations, order.bound, extras
 
 
 _RUNNERS = {
@@ -365,8 +388,8 @@ def _validate(cfg: CampaignConfig) -> SpaceSpec | None:
         raise UsageError("seed must be >= 0")
     if cfg.samples < 1:
         raise UsageError("samples must be >= 1")
-    if cfg.tolerance <= 0:
-        raise UsageError("tolerance must be positive")
+    if not (math.isfinite(cfg.tolerance) and cfg.tolerance > 0):
+        raise UsageError("tolerance must be finite and positive")
     if cfg.format not in ("json", "csv"):
         raise UsageError(f"unknown format {cfg.format!r}")
     if cfg.campaign in ("zalcman1d", "search"):
@@ -391,18 +414,20 @@ def run_campaign(cfg: CampaignConfig) -> CampaignReport:
     pure function of the config."""
     space = _validate(cfg)
     start = time.perf_counter()
-    rows, violations, bound, extras = _RUNNERS[cfg.campaign](cfg, space)
+    values, margins, violations, bound, extras = _RUNNERS[cfg.campaign](cfg, space)
+    values = np.asarray(values, dtype=float)
+    margins = np.asarray(margins, dtype=float)
     runtime_ms = int(round((time.perf_counter() - start) * 1000.0))
     return CampaignReport(
         campaign=cfg.campaign,
         seed=cfg.seed,
-        samples=len(rows),
-        max_value=max(v for _, v, _ in rows),
+        samples=len(values),
+        max_value=float(values.max()),
         bound=bound,
-        min_margin=min(m for _, _, m in rows),
+        min_margin=float(margins.min()),
         violations=tuple(violations),
         runtime_ms=runtime_ms,
-        rows=tuple(rows),
+        rows=tuple(zip(range(len(values)), values.tolist(), margins.tolist())),
         extras=extras,
     )
 

@@ -25,6 +25,8 @@ EXC_EPS = 1e-8
 
 DIRECTION_TOL = 1e-12
 
+_FLOAT_TINY = np.finfo(float).tiny
+
 
 class ExceptionalPoint(ValueError):
     """Evaluation at or too near the non-smooth set E of the gauge."""
@@ -186,7 +188,15 @@ def dual_norm(space: SpaceSpec, b: Covector | tuple) -> float:
     entries = np.abs(_as_vec(b.entries if isinstance(b, Covector) else b))
     if space.kind == "lp":
         q = space.p / (space.p - 1.0)
-        return float(np.sum(entries ** q) ** (1.0 / q))
+        total = np.sum(entries ** q)
+        if not _FLOAT_TINY <= total < math.inf:
+            # The power sum left the normal range (subnormal sums keep only a
+            # few significant bits), so factor out the largest entry.
+            top = entries.max()
+            if top == 0.0:
+                return 0.0
+            return float(top * np.sum((entries / top) ** q) ** (1.0 / q))
+        return float(total ** (1.0 / q))
     if space.kind == "sup":
         return float(entries.sum())
     return float(entries.max())

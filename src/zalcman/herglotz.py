@@ -9,6 +9,11 @@ works with finitely supported measures
 whose Taylor coefficients are the moments p_n = 2 sum_k lam_k e^{-i n theta_k}.
 Finite supports are dense in the coefficient bodies at any fixed truncation
 order, so nothing is lost for the degree-7 functionals computed here.
+
+Batches of measures are (rows, MAX_ATOMS) arrays of weights and angles,
+padded with weight-0, angle-0 atoms.  The sampler, the moments and the
+margins work on whole batches; the methods of ``HerglotzMeasure`` and
+``sample_measure`` are batch-of-one calls into the same functions.
 """
 
 from __future__ import annotations
@@ -25,6 +30,19 @@ MAX_ATOMS = 8
 
 WEIGHT_TOL = 1e-12
 
+# Uniforms drawn per sample: the atom count, MAX_ATOMS exponentials for the
+# weights, MAX_ATOMS angles.  Every sample makes all of them whatever its
+# atom count, so each draw index has one fixed role.
+SAMPLE_DRAWS = 1 + 2 * MAX_ATOMS
+
+# SplitMix64 (Steele, Lea and Flood, OOPSLA 2014) as a counter-based stream
+# in the sense of Salmon et al., "Parallel Random Numbers: As Easy as 1, 2,
+# 3" (SC'11): the seed keys a parent generator, output i + 1 of the parent
+# keys the generator of sample i, and output j + 1 of that is uniform j of
+# the sample.  Every uniform is a pure function of (seed, index, draw).
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_WORD = (1 << 64) - 1
+
 
 class CaratheodoryMargins(NamedTuple):
     """Slack in the three classical coefficient inequalities.
@@ -38,12 +56,67 @@ class CaratheodoryMargins(NamedTuple):
     m3: float
 
 
+def modulus(z: np.ndarray) -> np.ndarray:
+    """|z| elementwise, equal bit for bit to Python's abs() of each entry.
+
+    numpy's own complex absolute value rounds differently from the
+    hypot() that Python's abs() calls, so a witness replayed through
+    abs() would not reproduce a value computed with np.abs.
+    """
+    return np.hypot(z.real, z.imag)
+
+
+def check_atoms(weights: np.ndarray, angles: np.ndarray) -> None:
+    """The validity checks of a measure, for every row of padded atom arrays.
+
+    Weights must be finite and nonnegative and sum to 1 within WEIGHT_TOL
+    in each row; angles must be finite.  Raises ValueError otherwise.
+    """
+    if not (np.isfinite(weights).all() and np.isfinite(angles).all()):
+        raise ValueError("atom weights and angles must be finite")
+    if (weights < 0).any():
+        raise ValueError("atom weights must be nonnegative")
+    total = weights.sum(axis=1)
+    off = np.abs(total - 1.0) > WEIGHT_TOL
+    if off.any():
+        raise ValueError(f"atom weights sum to {total[off][0]}, expected 1")
+
+
+def batch_moments(weights: np.ndarray, angles: np.ndarray, count: int) -> np.ndarray:
+    """Moments p_1..p_count of every row, as a (rows, count) complex array.
+
+    ``weights`` and ``angles`` are (rows, MAX_ATOMS) arrays whose padding
+    atoms have weight 0 and angle 0, so they add exact zeros.
+    """
+    phase = np.arange(1, count + 1)[:, None] * angles[:, None, :]
+    w = weights[:, None, :]
+    p = np.empty(phase.shape[:2], dtype=complex)
+    p.real = 2.0 * (w * np.cos(phase)).sum(axis=-1)
+    p.imag = -2.0 * (w * np.sin(phase)).sum(axis=-1)
+    return p
+
+
+def batch_margins(
+    weights: np.ndarray, angles: np.ndarray, order: int = DEFAULT_ORDER
+) -> np.ndarray:
+    """(rows, 3) array of the margins m1, m2, m3 (see CaratheodoryMargins),
+    with m1 taken over p_1..p_order.  A NaN input gives NaN margins."""
+    p = batch_moments(weights, angles, max(order, 3))
+    margins = np.empty((len(p), 3))
+    margins[:, 0] = 2.0 - modulus(p[:, :order]).max(axis=1)
+    margins[:, 1] = 2.0 - modulus(p[:, 1] - p[:, 0] * p[:, 0])
+    margins[:, 2] = 2.0 - modulus(p[:, 2] - p[:, 0] * p[:, 1])
+    return margins
+
+
 @dataclass(frozen=True)
 class HerglotzMeasure:
     """Probability measure on the circle with finitely many atoms.
 
     ``atoms`` is a tuple of (weight, angle) pairs; weights are nonnegative
-    and sum to 1 within WEIGHT_TOL.
+    and sum to 1 within WEIGHT_TOL, and weights and angles are finite.
+    The moment methods are batch-of-one calls into the batched kernel, so
+    they reproduce the kernel's row for the same atoms bit for bit.
     """
 
     atoms: tuple[tuple[float, float], ...]
@@ -54,23 +127,31 @@ class HerglotzMeasure:
         )
         if not 1 <= len(self.atoms) <= MAX_ATOMS:
             raise ValueError(f"need between 1 and {MAX_ATOMS} atoms, got {len(self.atoms)}")
-        if any(w < 0 for w, _ in self.atoms):
-            raise ValueError("atom weights must be nonnegative")
-        total = sum(w for w, _ in self.atoms)
-        if abs(total - 1.0) > WEIGHT_TOL:
-            raise ValueError(f"atom weights sum to {total}, expected 1")
+        check_atoms(*self.padded())
+
+    @classmethod
+    def from_row(cls, weights: np.ndarray, angles: np.ndarray) -> "HerglotzMeasure":
+        """The measure of one row of padded atom arrays: its nonzero-weight atoms."""
+        live = weights != 0.0
+        return cls(tuple(zip(weights[live].tolist(), angles[live].tolist())))
+
+    def padded(self) -> tuple[np.ndarray, np.ndarray]:
+        """Weights and angles as (1, MAX_ATOMS) rows padded with zero atoms,
+        the layout ``sample_batch`` returns."""
+        row = np.zeros((2, MAX_ATOMS))
+        row[:, : len(self.atoms)] = np.array(self.atoms).T
+        return row[:1], row[1:]
 
     def coefficient(self, n: int) -> complex:
         """Taylor coefficient p_n = 2 sum_k lam_k e^{-i n theta_k} (n >= 1)."""
         if n < 1:
             raise ValueError("coefficients are indexed from 1")
-        return 2 * sum(w * cmath.exp(-1j * n * t) for w, t in self.atoms)
+        return complex(batch_moments(*self.padded(), n)[0, -1])
 
     def series(self, order: int = DEFAULT_ORDER) -> TruncatedSeries:
         """The truncated Taylor series of p, with constant term 1."""
-        return TruncatedSeries(
-            (1 + 0j,) + tuple(self.coefficient(n) for n in range(1, order + 1))
-        )
+        p = batch_moments(*self.padded(), order)[0]
+        return TruncatedSeries((1 + 0j,) + tuple(p.tolist()))
 
     def evaluate(self, zeta: complex) -> complex:
         """Exact rational evaluation of p(zeta) on the open disk."""
@@ -87,11 +168,7 @@ class HerglotzMeasure:
     def margins(self, order: int = DEFAULT_ORDER) -> CaratheodoryMargins:
         """Margins of the coefficient inequalities |p_n| <= 2,
         |p_2 - p_1^2| <= 2 and |p_3 - p_1 p_2| <= 2."""
-        p = [self.coefficient(n) for n in range(1, max(order, 3) + 1)]
-        m1 = 2.0 - max(abs(pn) for pn in p[:order])
-        m2 = 2.0 - abs(p[1] - p[0] ** 2)
-        m3 = 2.0 - abs(p[2] - p[0] * p[1])
-        return CaratheodoryMargins(m1, m2, m3)
+        return CaratheodoryMargins(*batch_margins(*self.padded(), order)[0].tolist())
 
     def to_json(self) -> dict:
         return {"atoms": [[w, t] for w, t in self.atoms]}
@@ -101,17 +178,67 @@ class HerglotzMeasure:
         return cls(tuple((w, t) for w, t in obj["atoms"]))
 
 
-def sample_measure(seed: int, max_atoms: int = MAX_ATOMS) -> HerglotzMeasure:
-    """Deterministic pseudo-random measure keyed entirely by ``seed``.
+def _mix64(z: np.ndarray) -> np.ndarray:
+    """SplitMix64 output function on a uint64 array (wrapping arithmetic)."""
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB
+    return z ^ (z >> 31)
 
-    Atom count uniform in [1, max_atoms]; weights flat on the simplex
-    (normalized iid exponentials); angles uniform in [0, 2 pi).
+
+def _stream_key(seed: int) -> np.ndarray:
+    """State of the parent generator: every 64-bit word of ``seed`` mixed in."""
+    key = np.zeros(1, dtype=np.uint64)
+    while True:
+        key = _mix64(key + np.uint64(seed & _WORD) + _GAMMA)
+        seed >>= 64
+        if not seed:
+            return key
+
+
+def uniforms(seed: int, indices, draws: int) -> np.ndarray:
+    """(len(indices), draws) uniforms in the open interval (0, 1).
+
+    Entry [r, j] depends on (seed, indices[r], j) alone, so a sample comes
+    out the same in any batch, order or shard.  Each uniform carries 52
+    random bits, offset by half a step so that neither 0 nor 1 occurs.
     """
-    if max_atoms < 1:
-        raise ValueError("max_atoms must be >= 1")
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(1, max_atoms + 1))
-    raw = rng.exponential(1.0, n)
-    weights = raw / raw.sum()
-    angles = rng.uniform(0.0, 2.0 * np.pi, n)
-    return HerglotzMeasure(tuple(zip(weights.tolist(), angles.tolist())))
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
+    sample_keys = _mix64(_stream_key(seed) + (np.asarray(indices, dtype=np.uint64) + 1) * _GAMMA)
+    steps = np.arange(1, draws + 1, dtype=np.uint64) * _GAMMA
+    bits = _mix64(sample_keys[:, None] + steps)
+    return ((bits >> 12).astype(np.float64) + 0.5) * 2.0**-52
+
+
+def sample_batch(
+    seed: int, indices, max_atoms: int = MAX_ATOMS
+) -> tuple[np.ndarray, np.ndarray]:
+    """Measures of the given sample indices as zero-padded atom arrays.
+
+    Returns (weights, angles), each (len(indices), MAX_ATOMS).  Row r has an
+    atom count uniform in [1, max_atoms] in its leading columns: weights
+    flat on the simplex (normalized iid exponentials), so all of them are
+    positive, and angles uniform in [0, 2 pi).  The remaining columns are
+    padding atoms with weight 0 and angle 0.
+    """
+    if not 1 <= max_atoms <= MAX_ATOMS:
+        raise ValueError(f"max_atoms must be between 1 and {MAX_ATOMS}")
+    u = uniforms(seed, indices, SAMPLE_DRAWS)
+    # u < 1, but u * max_atoms can still round up to max_atoms.
+    count = np.minimum((u[:, 0] * max_atoms).astype(np.int64), max_atoms - 1) + 1
+    live = np.arange(MAX_ATOMS) < count[:, None]
+    raw = np.where(live, -np.log(u[:, 1 : 1 + MAX_ATOMS]), 0.0)
+    weights = raw / raw.sum(axis=1, keepdims=True)
+    angles = np.where(live, 2.0 * np.pi * u[:, 1 + MAX_ATOMS :], 0.0)
+    check_atoms(weights, angles)
+    return weights, angles
+
+
+def sample_measure(seed: int, index: int = 0, max_atoms: int = MAX_ATOMS) -> HerglotzMeasure:
+    """Measure of sample ``index`` under ``seed``: row 0 of a batch of one.
+
+    The same measure ``sample_batch(seed, [..., index, ...])`` returns in
+    that index's row, atom for atom.
+    """
+    weights, angles = sample_batch(seed, [index], max_atoms)
+    return HerglotzMeasure.from_row(weights[0], angles[0])

@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .herglotz import MAX_ATOMS, HerglotzMeasure
+from .herglotz import MAX_ATOMS, HerglotzMeasure, batch_moments
 from .series import DEFAULT_ORDER, TruncatedSeries
 
 MAX_COEFF_ORDER = DEFAULT_ORDER
@@ -77,18 +77,32 @@ class ZalcmanOrder:
         return self.m + self.n - 1
 
 
-def coeffs_from_p(mu: HerglotzMeasure, order: int = MAX_COEFF_ORDER) -> SchlichtCoefficients:
-    """Coefficients via the convolution recurrence from z f' = p f."""
-    if order > MAX_COEFF_ORDER:
-        raise ValueError(f"order capped at {MAX_COEFF_ORDER}")
-    p = [mu.coefficient(k) for k in range(1, order)]
-    a: list[complex] = [1 + 0j]
+def batch_coeffs(p: np.ndarray, order: int) -> np.ndarray:
+    """Coefficients a_1..a_order of every row of moments p_1..p_{order-1},
+    as a (rows, order) complex array, by the convolution recurrence."""
+    a = np.zeros((len(p), order), dtype=complex)
+    a[:, 0] = 1.0
     for n in range(2, order + 1):
-        acc = 0j
-        for k in range(1, n):
-            acc += p[k - 1] * a[n - k - 1]
-        a.append(acc / (n - 1))
-    return SchlichtCoefficients(tuple(a))
+        a[:, n - 1] = (p[:, : n - 1] * a[:, n - 2 :: -1]).sum(axis=1) / (n - 1)
+    return a
+
+
+def batch_zalcman(a: np.ndarray, order: ZalcmanOrder) -> np.ndarray:
+    """J_{m,n} = a_m a_n - a_{m+n-1} of every row of coefficients a_1..a_N."""
+    return a[:, order.m - 1] * a[:, order.n - 1] - a[:, order.top_coefficient - 1]
+
+
+def _check_order(order: int) -> None:
+    if not 1 <= order <= MAX_COEFF_ORDER:
+        raise ValueError(f"order must be between 1 and {MAX_COEFF_ORDER}")
+
+
+def coeffs_from_p(mu: HerglotzMeasure, order: int = MAX_COEFF_ORDER) -> SchlichtCoefficients:
+    """Coefficients via the convolution recurrence from z f' = p f, as a
+    batch-of-one call into ``batch_coeffs``."""
+    _check_order(order)
+    a = batch_coeffs(batch_moments(*mu.padded(), order - 1), order)
+    return SchlichtCoefficients(tuple(a[0].tolist()))
 
 
 def coeffs_oracle(mu: HerglotzMeasure, order: int = MAX_COEFF_ORDER) -> SchlichtCoefficients:
@@ -97,18 +111,18 @@ def coeffs_oracle(mu: HerglotzMeasure, order: int = MAX_COEFF_ORDER) -> Schlicht
     Builds f(z) = z exp(sum_k p_k z^k / k) with the series kernel, so the
     two paths share no arithmetic beyond the moments p_k.
     """
-    if order > MAX_COEFF_ORDER:
-        raise ValueError(f"order capped at {MAX_COEFF_ORDER}")
-    g = TruncatedSeries(
-        (0j,) + tuple(mu.coefficient(k) / k for k in range(1, order))
-    )
+    _check_order(order)
+    p = batch_moments(*mu.padded(), order - 1)[0].tolist()
+    g = TruncatedSeries((0j,) + tuple(pk / k for k, pk in enumerate(p, start=1)))
     e = g.exp()
     return SchlichtCoefficients(e.coeffs[:order])
 
 
 def zalcman_J(coeffs: SchlichtCoefficients, order: ZalcmanOrder) -> complex:
-    """The functional a_m a_n - a_{m+n-1}; callers take the modulus."""
-    return coeffs.coef(order.m) * coeffs.coef(order.n) - coeffs.coef(order.top_coefficient)
+    """The functional a_m a_n - a_{m+n-1}, as a batch-of-one call into
+    ``batch_zalcman``; callers take the modulus."""
+    coeffs.coef(order.top_coefficient)  # IndexError when not computed
+    return complex(batch_zalcman(np.array([coeffs.a]), order)[0])
 
 
 class SearchResult(NamedTuple):

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -13,7 +14,7 @@ from zalcman import (
     run_campaign,
     zalcman_J,
 )
-from zalcman.campaigns import emit_report, space_of, subseed
+from zalcman.campaigns import REPORT_VERSION, emit_report, space_of, subseed
 from zalcman.cli import main
 
 
@@ -81,6 +82,9 @@ def test_subseeds_are_stable_and_distinct():
         CampaignConfig("ball", norm="lp:1"),
         CampaignConfig("search", budget=-2),
         CampaignConfig("zalcman1d", format="xml"),
+        CampaignConfig("zalcman1d", tolerance=math.nan),
+        CampaignConfig("zalcman1d", tolerance=math.inf),
+        CampaignConfig("zalcman1d", tolerance=-math.inf),
     ],
 )
 def test_inconsistent_configs_raise_usage_errors(cfg):
@@ -136,6 +140,7 @@ def test_json_rendering_is_deterministic_and_roundtrips():
     obj = json.loads(text)
     assert obj["violations"] == []
     assert list(obj) == [
+        "version",
         "campaign",
         "seed",
         "samples",
@@ -146,6 +151,7 @@ def test_json_rendering_is_deterministic_and_roundtrips():
         "runtime_ms",
     ]
     assert obj["max_value"] == rep.max_value
+    assert obj["version"] == REPORT_VERSION
 
 
 def test_violation_witness_survives_the_json_roundtrip():
@@ -166,6 +172,13 @@ def test_csv_rendering_has_sample_rows_and_aggregate_footer():
     assert lines[-1].startswith("aggregate,")
     assert lines[-1].endswith(",0")
     assert render_report(rep, "csv") == render_report(rep, "csv")
+
+
+def test_csv_cells_are_plain_numbers_for_identity_campaigns():
+    rep = run_campaign(small("gradients", seed=5, samples=20, dim=2, norm="lp:3"))
+    for line in render_report(rep, "csv").strip().split("\n")[1:]:
+        _, value, margin, _ = line.split(",")
+        assert math.isfinite(float(value)) and math.isfinite(float(margin))
 
 
 def test_render_rejects_unknown_formats():
@@ -210,6 +223,8 @@ def test_cli_violation_exit_code(capsys):
 def test_cli_usage_errors_exit_with_two(capsys):
     assert main(["verify", "ball", "--dim", "1"]) == 2
     assert main(["verify", "ball", "--norm", "lp:zero"]) == 2
+    for token in ("nan", "inf", "-inf"):
+        assert main(["verify", "zalcman1d", "--samples", "5", f"--tolerance={token}"]) == 2
     with pytest.raises(SystemExit) as exc:
         main(["verify", "warp-drive"])
     assert exc.value.code == 2

@@ -158,6 +158,11 @@ def test_dual_norm_closed_forms():
     q = 1.5  # dual exponent of p = 3
     expected = (1.0 + 2.0**q + 2.0**q) ** (1.0 / q)
     assert abs(dual_norm(lp_space(3, 3.0), b) - expected) < 1e-14
+    # Tiny functionals: the power sum would underflow into subnormals.
+    tiny = tuple(1e-250 * x for x in b)
+    assert abs(dual_norm(euclidean(3), tiny) / 1e-250 - 3.0) < 1e-14
+    assert abs(dual_norm(lp_space(3, 3.0), tiny) / 1e-250 - expected) < 1e-14
+    assert abs(dual_norm(euclidean(2), (0j, 6.2e-158j)) / 6.2e-158 - 1.0) < 1e-14
 
 
 def test_covector_is_linear_and_serializable():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from zalcman import HerglotzMeasure, sample_measure
+from zalcman.herglotz import MAX_ATOMS, SAMPLE_DRAWS, sample_batch, uniforms
 
 from support import measures
 
@@ -19,6 +20,9 @@ angles = st.floats(min_value=0.0, max_value=2.0 * math.pi, exclude_max=True)
         ((0.5, 0.0),),
         ((-0.1, 0.0), (1.1, 1.0)),
         ((0.2, 0.0),) * 9,
+        ((math.nan, 0.0),),
+        ((1.0, math.inf),),
+        ((0.5, 0.0), (0.5, -math.inf)),
     ],
 )
 def test_invalid_atom_lists_rejected(atoms):
@@ -118,6 +122,25 @@ def test_sample_measure_covers_all_atom_counts():
     assert counts == set(range(1, 9))
 
 
-def test_sample_measure_accepts_seed_sequences():
-    ss = np.random.SeedSequence(entropy=(5, 17))
-    assert sample_measure(ss) == sample_measure(np.random.SeedSequence(entropy=(5, 17)))
+def test_sample_measure_is_row_of_its_batch():
+    weights, angles = sample_batch(9, [4, 17, 2])
+    assert sample_measure(9, 17) == HerglotzMeasure.from_row(weights[1], angles[1])
+    assert sample_measure(9, 17) != sample_measure(9, 4)
+
+
+def test_uniforms_lie_strictly_inside_the_unit_interval():
+    u = uniforms(2**70 + 3, np.arange(2000), SAMPLE_DRAWS)
+    assert u.shape == (2000, SAMPLE_DRAWS)
+    assert 0.0 < u.min() and u.max() < 1.0
+    assert not np.array_equal(u, uniforms(3, np.arange(2000), SAMPLE_DRAWS))
+
+
+def test_sample_batch_pads_with_zero_atoms():
+    weights, angles = sample_batch(1, np.arange(500), max_atoms=3)
+    live = weights > 0
+    assert set(live.sum(axis=1)) == {1, 2, 3}
+    assert not live[:, 3:].any()
+    assert (angles[~live] == 0.0).all()
+    assert ((0.0 <= angles) & (angles < 2.0 * math.pi)).all()
+    with pytest.raises(ValueError):
+        sample_batch(1, [0], max_atoms=MAX_ATOMS + 1)

@@ -4,9 +4,10 @@ Each campaign replays one of the package's inequality or identity suites
 over a deterministic pseudo-random stream, so reports are reproducible,
 order-independent, and safe to shard.  In the one-variable campaigns
 (caratheodory, zalcman1d) sample i is a pure function of (seed, i) under
-the counter-based stream of ``herglotz.uniforms``, and the whole batch goes
-through one vectorised kernel; the several-variables campaigns draw sample
-i from ``np.random.default_rng(subseed(seed, i))``.  Bound campaigns
+the counter-based stream of ``herglotz.uniforms``, and the samples go
+through one vectorised kernel in blocks of ``herglotz.SAMPLE_BLOCK`` rows;
+the several-variables campaigns draw sample i from
+``np.random.default_rng(subseed(seed, i))``.  Bound campaigns
 (caratheodory, zalcman1d, ball, domain) track the raw functional value
 against its theorem bound; identity campaigns (gradients, reduction,
 sharpness) track residuals normalized by their per-check tolerance, so a
@@ -37,7 +38,7 @@ from .geometry import (
     sup_space,
     wirtinger_fd_gradient,
 )
-from .herglotz import HerglotzMeasure, batch_margins, batch_moments, modulus, sample_batch
+from .herglotz import HerglotzMeasure, batch_margins, sample_blocks
 from .mappings import (
     functional_A,
     functional_B,
@@ -48,7 +49,7 @@ from .mappings import (
     sample_lifted_spec,
     zalcman_nd,
 )
-from .starlike import ZalcmanOrder, batch_coeffs, batch_zalcman, search_extremal
+from .starlike import ZalcmanOrder, search_extremal, zalcman_values
 
 DEFAULT_TOLERANCE = 1e-9
 
@@ -168,36 +169,39 @@ def violation_rows(margins: np.ndarray, tolerance: float) -> np.ndarray:
 
 
 def _run_caratheodory(cfg: CampaignConfig, _space):
-    weights, angles = sample_batch(cfg.seed, np.arange(cfg.samples))
-    per_inequality = batch_margins(weights, angles)
-    margins = per_inequality.min(axis=1)
-    violations = [
-        {
-            "index": int(i),
-            "measure": HerglotzMeasure.from_row(weights[i], angles[i]).to_json(),
-            "margins": per_inequality[i].tolist(),
-        }
-        for i in violation_rows(margins, cfg.tolerance)
-    ]
+    margins, violations = [], []
+    for first, weights, angles in sample_blocks(cfg.seed, cfg.samples):
+        per_inequality = batch_margins(weights, angles)
+        block = per_inequality.min(axis=1)
+        margins.append(block)
+        violations += [
+            {
+                "index": first + int(i),
+                "measure": HerglotzMeasure.from_row(weights[i], angles[i]).to_json(),
+                "margins": per_inequality[i].tolist(),
+            }
+            for i in violation_rows(block, cfg.tolerance)
+        ]
+    margins = np.concatenate(margins)
     return 2.0 - margins, margins, violations, 2.0, None
 
 
 def _run_zalcman1d(cfg: CampaignConfig, _space):
     order = ZalcmanOrder(*cfg.order)
-    top = order.top_coefficient
-    weights, angles = sample_batch(cfg.seed, np.arange(cfg.samples))
-    a = batch_coeffs(batch_moments(weights, angles, top - 1), top)
-    values = modulus(batch_zalcman(a, order))
-    margins = order.bound - values
-    violations = [
-        {
-            "index": int(i),
-            "measure": HerglotzMeasure.from_row(weights[i], angles[i]).to_json(),
-            "value": float(values[i]),
-        }
-        for i in violation_rows(margins, cfg.tolerance)
-    ]
-    return values, margins, violations, order.bound, None
+    values, violations = [], []
+    for first, weights, angles in sample_blocks(cfg.seed, cfg.samples):
+        block = zalcman_values(weights, angles, order)
+        values.append(block)
+        violations += [
+            {
+                "index": first + int(i),
+                "measure": HerglotzMeasure.from_row(weights[i], angles[i]).to_json(),
+                "value": float(block[i]),
+            }
+            for i in violation_rows(order.bound - block, cfg.tolerance)
+        ]
+    values = np.concatenate(values)
+    return values, order.bound - values, violations, order.bound, None
 
 
 def _run_lifted_bound(cfg: CampaignConfig, space: SpaceSpec, mode: str):

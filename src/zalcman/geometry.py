@@ -191,10 +191,11 @@ def dual_norm(space: SpaceSpec, b: Covector | tuple) -> float:
         total = np.sum(entries ** q)
         if not _FLOAT_TINY <= total < math.inf:
             # The power sum left the normal range (subnormal sums keep only a
-            # few significant bits), so factor out the largest entry.
+            # few significant bits), so factor out the largest entry.  A zero,
+            # infinite or NaN largest entry is the norm itself.
             top = entries.max()
-            if top == 0.0:
-                return 0.0
+            if top == 0.0 or not math.isfinite(top):
+                return float(top)
             return float(top * np.sum((entries / top) ** q) ** (1.0 / q))
         return float(total ** (1.0 / q))
     if space.kind == "sup":

@@ -76,10 +76,11 @@ class LiftedMapSpec:
             raise ValueError(f"atom weights sum to {total}, expected 1")
 
     def validate_for(self, space: SpaceSpec) -> None:
-        """Check every functional has dual norm <= 1 on the given gauge."""
+        """Check every functional has dual norm <= 1 on the given gauge;
+        a NaN dual norm fails the check."""
         for _, b in self.atoms:
             nd = dual_norm(space, b)
-            if nd > 1.0 + DUAL_NORM_TOL:
+            if not nd <= 1.0 + DUAL_NORM_TOL:
                 raise ValueError(f"functional dual norm {nd} exceeds 1")
 
     def to_json(self) -> dict:

@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .herglotz import MAX_ATOMS, HerglotzMeasure, batch_moments
+from .herglotz import MAX_ATOMS, HerglotzMeasure, batch_moments, modulus
 from .series import DEFAULT_ORDER, TruncatedSeries
 
 MAX_COEFF_ORDER = DEFAULT_ORDER
@@ -90,6 +90,14 @@ def batch_coeffs(p: np.ndarray, order: int) -> np.ndarray:
 def batch_zalcman(a: np.ndarray, order: ZalcmanOrder) -> np.ndarray:
     """J_{m,n} = a_m a_n - a_{m+n-1} of every row of coefficients a_1..a_N."""
     return a[:, order.m - 1] * a[:, order.n - 1] - a[:, order.top_coefficient - 1]
+
+
+def zalcman_values(weights: np.ndarray, angles: np.ndarray, order: ZalcmanOrder) -> np.ndarray:
+    """|J_{m,n}| of every row of padded atom arrays, through the kernel;
+    each entry equals abs(zalcman_J(coeffs_from_p(row measure), order))."""
+    top = order.top_coefficient
+    a = batch_coeffs(batch_moments(weights, angles, top - 1), top)
+    return modulus(batch_zalcman(a, order))
 
 
 def _check_order(order: int) -> None:
@@ -172,7 +180,10 @@ def search_extremal(
     ``budget`` caps the number of refinement evaluations; the start batch
     itself is free, so budget 0 reports the best start.  Deterministic in
     (seed, budget) and monotone in budget: a larger budget only extends
-    the evaluated candidate stream.
+    the evaluated candidate stream.  Candidates are ranked by the inlined
+    ``_objective``; the reported value is the best measure's |J| through
+    the batched kernel, so ``coeffs_from_p`` and ``zalcman_J`` replay it
+    bit for bit.
     """
     if budget < 0:
         raise ValueError("budget must be >= 0")
@@ -230,4 +241,5 @@ def search_extremal(
 
     assert best_state is not None
     measure = HerglotzMeasure(tuple(zip(best_state[0], best_state[1])))
-    return SearchResult(measure, best_val, spent)
+    value = float(zalcman_values(*measure.padded(), order)[0])
+    return SearchResult(measure, value, spent)

@@ -42,12 +42,11 @@ from zalcman import (
     zalcman_nd,
 )
 from zalcman.campaigns import subseed
-from zalcman.herglotz import batch_margins, batch_moments, modulus, sample_batch
-from zalcman.starlike import batch_coeffs, batch_zalcman
+from zalcman.herglotz import batch_margins, sample_blocks
+from zalcman.starlike import zalcman_values
 
 SEED = 20260814
 CORPUS_SIZE = 100_000
-CORPUS_CHUNK = 10_000
 PAIR_TARGET = 10_000
 ORDERS = [ZalcmanOrder(m, n) for m, n in itertools.product((2, 3, 4), repeat=2)]
 
@@ -64,12 +63,10 @@ def corpus():
     start = time.perf_counter()
     max_j = {(o.m, o.n): 0.0 for o in ORDERS}
     min_margins = np.full(3, math.inf)
-    for first in range(0, CORPUS_SIZE, CORPUS_CHUNK):
-        weights, angles = sample_batch(SEED, np.arange(first, first + CORPUS_CHUNK))
+    for _, weights, angles in sample_blocks(SEED, CORPUS_SIZE):
         min_margins = np.minimum(min_margins, batch_margins(weights, angles).min(axis=0))
-        coeffs = batch_coeffs(batch_moments(weights, angles, 6), 7)
         for o in ORDERS:
-            value = modulus(batch_zalcman(coeffs, o)).max()
+            value = zalcman_values(weights, angles, o).max()
             max_j[(o.m, o.n)] = float(np.maximum(max_j[(o.m, o.n)], value))
     search = search_extremal(ZalcmanOrder(2, 3), budget=2000, seed=SEED)
     return {

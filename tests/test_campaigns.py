@@ -130,7 +130,7 @@ def test_search_campaign_reports_its_extremizer():
     assert rep.extras["evaluations"] <= 400
     mu = HerglotzMeasure.from_json(rep.extras["best_measure"])
     value = abs(zalcman_J(coeffs_from_p(mu, order=6), ZalcmanOrder(3, 4)))
-    assert abs(value - rep.max_value) < 1e-12
+    assert value == rep.max_value
 
 
 def test_json_rendering_is_deterministic_and_roundtrips():

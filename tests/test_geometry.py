@@ -163,6 +163,10 @@ def test_dual_norm_closed_forms():
     assert abs(dual_norm(euclidean(3), tiny) / 1e-250 - 3.0) < 1e-14
     assert abs(dual_norm(lp_space(3, 3.0), tiny) / 1e-250 - expected) < 1e-14
     assert abs(dual_norm(euclidean(2), (0j, 6.2e-158j)) / 6.2e-158 - 1.0) < 1e-14
+    # Non-finite functionals keep a non-finite norm rather than becoming NaN.
+    assert dual_norm(euclidean(2), (math.inf, 0.5)) == math.inf
+    assert dual_norm(lp_space(2, 3.0), (0.5, complex(0.0, -math.inf))) == math.inf
+    assert math.isnan(dual_norm(euclidean(2), (math.nan, 0.5)))
 
 
 def test_covector_is_linear_and_serializable():

@@ -18,8 +18,16 @@ from zalcman import (
     zalcman_J,
 )
 from zalcman.campaigns import violation_rows
-from zalcman.herglotz import MAX_ATOMS, batch_margins, batch_moments, modulus, sample_batch
-from zalcman.starlike import MAX_COEFF_ORDER, batch_coeffs, batch_zalcman
+from zalcman.herglotz import (
+    MAX_ATOMS,
+    SAMPLE_BLOCK,
+    batch_margins,
+    batch_moments,
+    modulus,
+    sample_batch,
+    sample_blocks,
+)
+from zalcman.starlike import MAX_COEFF_ORDER, batch_coeffs, batch_zalcman, zalcman_values
 
 ROWS = 10_000
 ORDERS = [ZalcmanOrder(m, n) for m, n in itertools.product((2, 3, 4), repeat=2)]
@@ -52,6 +60,26 @@ def test_caratheodory_witnesses_replay_exactly():
         assert min(witness["margins"]) == rep.rows[witness["index"]][2]
 
 
+def test_blocks_concatenate_to_one_batch():
+    blocks = list(sample_blocks(12, 45, block=7))
+    assert [first for first, _, _ in blocks] == list(range(0, 45, 7))
+    weights, angles = sample_batch(12, np.arange(45))
+    assert np.array_equal(np.concatenate([w for _, w, _ in blocks]), weights)
+    assert np.array_equal(np.concatenate([a for _, _, a in blocks]), angles)
+
+
+def test_witnesses_past_the_first_block_carry_their_own_index():
+    samples = SAMPLE_BLOCK + 300
+    rep = run_campaign(CampaignConfig("caratheodory", seed=7, samples=samples, tolerance=1e-16))
+    assert rep.samples == samples
+    late = [w for w in rep.violations if w["index"] >= SAMPLE_BLOCK]
+    assert late
+    weights, angles = sample_batch(7, [w["index"] for w in late])
+    for r, witness in enumerate(late):
+        assert witness["measure"] == HerglotzMeasure.from_row(weights[r], angles[r]).to_json()
+        assert min(witness["margins"]) == rep.rows[witness["index"]][2]
+
+
 def test_a_run_is_a_prefix_of_a_longer_run():
     for campaign in ("caratheodory", "zalcman1d"):
         short = run_campaign(CampaignConfig(campaign, seed=4, samples=150))
@@ -65,6 +93,5 @@ def test_nan_angle_is_flagged_as_a_violation():
     margins = batch_margins(weights, angles).min(axis=1)
     assert violation_rows(margins, 1e-9).tolist() == [5]
     order = ZalcmanOrder(2, 3)
-    coeffs = batch_coeffs(batch_moments(weights, angles, 3), 4)
-    values = modulus(batch_zalcman(coeffs, order))
+    values = zalcman_values(weights, angles, order)
     assert violation_rows(order.bound - values, 1e-9).tolist() == [5]

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -62,6 +63,11 @@ def test_validate_for_checks_dual_norms():
     spec.validate_for(l1_space(2))  # dual norm is max |b_i| = 1: allowed
     with pytest.raises(ValueError):
         spec.validate_for(sup_space(2))  # dual norm is sum |b_i| = 2: rejected
+    for bad in ('[[Infinity, 0.0], [0.0, 0.0]]', '[[NaN, 0.0], [0.0, 0.0]]'):
+        spec = LiftedMapSpec.from_json(json.loads(f'{{"atoms": [{{"lambda": 1.0, "b": {bad}}}]}}'))
+        for space in (euclidean(2), lp_space(2, 3.0), sup_space(2), l1_space(2)):
+            with pytest.raises(ValueError):
+                spec.validate_for(space)
 
 
 def test_json_roundtrip_is_exact():

@@ -106,7 +106,7 @@ def test_search_attains_the_sharp_value(m, n):
     assert result.value <= o.bound + 1e-9
     # The reported maximizer must reproduce its own value.
     c = coeffs_from_p(result.measure)
-    assert abs(abs(zalcman_J(c, o)) - result.value) < 1e-12
+    assert abs(zalcman_J(c, o)) == result.value
 
 
 def test_search_rejects_negative_budget():

@@ -13,6 +13,11 @@ against its theorem bound; identity campaigns (gradients, reduction,
 sharpness) track residuals normalized by their per-check tolerance, so a
 margin below -tolerance always means a genuine defect regardless of
 campaign kind.
+
+A runner returns the values and margins of all its rows plus a function
+that builds the witness of row i by replaying sample i.  The pass/fail
+gate lives in ``run_campaign`` alone: a row is a violation when its margin
+is not >= -tolerance, so a NaN margin always fails the report.
 """
 
 from __future__ import annotations
@@ -38,11 +43,11 @@ from .geometry import (
     sup_space,
     wirtinger_fd_gradient,
 )
-from .herglotz import HerglotzMeasure, batch_margins, sample_blocks
+from .herglotz import batch_margins, sample_blocks, sample_measure
 from .mappings import (
+    closed_form_values,
     functional_A,
     functional_B,
-    hom_parts,
     make_extremal_ball,
     make_extremal_domain,
     reduction_crosscheck,
@@ -102,8 +107,9 @@ class CampaignReport:
     """Aggregate outcome plus per-sample rows (index, value, margin).
 
     ``violations`` holds serialized witnesses; it is nonempty exactly when
-    some margin fell below -tolerance.  ``runtime_ms`` is wall-clock and
-    is the one field not reproducible from the config.
+    some margin is not >= -tolerance (a NaN margin included).
+    ``runtime_ms`` is wall-clock and is the one field not reproducible from
+    the config.
     """
 
     campaign: str
@@ -168,62 +174,61 @@ def violation_rows(margins: np.ndarray, tolerance: float) -> np.ndarray:
     return np.flatnonzero(~(margins >= -tolerance))
 
 
+def _worst(residuals) -> float:
+    """The largest residual, or NaN if any residual is NaN (``max`` would
+    skip a NaN that is not first)."""
+    top = -math.inf
+    for r in residuals:
+        if r != r:
+            return math.nan
+        if r > top:
+            top = r
+    return top
+
+
 def _run_caratheodory(cfg: CampaignConfig, _space):
-    margins, violations = [], []
-    for first, weights, angles in sample_blocks(cfg.seed, cfg.samples):
-        per_inequality = batch_margins(weights, angles)
-        block = per_inequality.min(axis=1)
-        margins.append(block)
-        violations += [
-            {
-                "index": first + int(i),
-                "measure": HerglotzMeasure.from_row(weights[i], angles[i]).to_json(),
-                "margins": per_inequality[i].tolist(),
-            }
-            for i in violation_rows(block, cfg.tolerance)
-        ]
-    margins = np.concatenate(margins)
-    return 2.0 - margins, margins, violations, 2.0, None
+    margins = np.concatenate(
+        [batch_margins(w, a).min(axis=1) for _, w, a in sample_blocks(cfg.seed, cfg.samples)]
+    )
+
+    def witness(i):
+        mu = sample_measure(cfg.seed, i)
+        return {"index": i, "measure": mu.to_json(), "margins": list(mu.margins())}
+
+    return 2.0 - margins, margins, witness, 2.0, None
 
 
 def _run_zalcman1d(cfg: CampaignConfig, _space):
     order = ZalcmanOrder(*cfg.order)
-    values, violations = [], []
-    for first, weights, angles in sample_blocks(cfg.seed, cfg.samples):
-        block = zalcman_values(weights, angles, order)
-        values.append(block)
-        violations += [
-            {
-                "index": first + int(i),
-                "measure": HerglotzMeasure.from_row(weights[i], angles[i]).to_json(),
-                "value": float(block[i]),
-            }
-            for i in violation_rows(order.bound - block, cfg.tolerance)
-        ]
-    values = np.concatenate(values)
-    return values, order.bound - values, violations, order.bound, None
+    values = np.concatenate(
+        [zalcman_values(w, a, order) for _, w, a in sample_blocks(cfg.seed, cfg.samples)]
+    )
+
+    def witness(i):
+        measure = sample_measure(cfg.seed, i).to_json()
+        return {"index": i, "measure": measure, "value": float(values[i])}
+
+    return values, order.bound - values, witness, order.bound, None
+
+
+def _lifted_sample(cfg: CampaignConfig, space: SpaceSpec, i: int):
+    """(spec, z) of sample i of a several-variables campaign."""
+    rng = np.random.default_rng(subseed(cfg.seed, i))
+    spec = sample_lifted_spec(space, rng)
+    return spec, sample_point(space, rng)
 
 
 def _run_lifted_bound(cfg: CampaignConfig, space: SpaceSpec, mode: str):
-    values, margins, violations = [], [], []
-    for i in range(cfg.samples):
-        rng = np.random.default_rng(subseed(cfg.seed, i))
-        spec = sample_lifted_spec(space, rng)
-        z = sample_point(space, rng)
-        value = zalcman_nd(space, spec, z, mode=mode).zalcman
-        margin = 2.0 - value
-        values.append(value)
-        margins.append(margin)
-        if margin < -cfg.tolerance:
-            violations.append(
-                {
-                    "index": i,
-                    "spec": spec.to_json(),
-                    "z": _complex_list(z),
-                    "value": value,
-                }
-            )
-    return values, margins, violations, 2.0, None
+    values = [
+        zalcman_nd(space, *_lifted_sample(cfg, space, i), mode=mode).zalcman
+        for i in range(cfg.samples)
+    ]
+
+    def witness(i):
+        spec, z = _lifted_sample(cfg, space, i)
+        return {"index": i, "spec": spec.to_json(), "z": _complex_list(z), "value": values[i]}
+
+    return values, [2.0 - v for v in values], witness, 2.0, None
 
 
 def _run_ball(cfg, space):
@@ -234,76 +239,78 @@ def _run_domain(cfg, space):
     return _run_lifted_bound(cfg, space, "domain")
 
 
+def _gradient_sample(cfg: CampaignConfig, space: SpaceSpec, i: int):
+    """(z, residuals) of sample i of the gradients campaign."""
+    rng = np.random.default_rng(subseed(cfg.seed, i))
+    z = sample_direction(space, rng, min_gap=GRAD_MIN_GAP)
+    theta = rng.uniform(0.0, 2.0 * np.pi)
+    grad = minkowski_gradient(space, z)
+    euler = abs(2.0 * grad(z) - rho(space, z))
+    scaled = minkowski_gradient(space, 0.5 * z)
+    scale_res = _worst(abs(a - b) for a, b in zip(scaled.entries, grad.entries))
+    ph = np.exp(1j * theta)
+    rotated = minkowski_gradient(space, ph * z)
+    phase_res = _worst(
+        abs(a - np.conj(ph) * b) for a, b in zip(rotated.entries, grad.entries)
+    )
+    fd = wirtinger_fd_gradient(space, z)
+    scale = _worst(abs(b) for b in grad.entries)
+    fd_res = _worst(abs(a - b) for a, b in zip(fd.entries, grad.entries)) / scale
+    residuals = {
+        "euler": euler / EULER_TOL,
+        "scale": scale_res / GRAD_COVARIANCE_TOL,
+        "phase": phase_res / GRAD_COVARIANCE_TOL,
+        "fd": fd_res / GRAD_FD_TOL,
+    }
+    return z, residuals
+
+
 def _run_gradients(cfg: CampaignConfig, space: SpaceSpec):
     """Euler identity, scale/phase covariance, and the finite-difference
     cross-check of the gauge gradient, on sphere points well off E (the
     FD stencil needs quantitative smoothness, not just z not in E)."""
-    values, margins, violations = [], [], []
-    for i in range(cfg.samples):
-        rng = np.random.default_rng(subseed(cfg.seed, i))
-        z = sample_direction(space, rng, min_gap=GRAD_MIN_GAP)
-        theta = rng.uniform(0.0, 2.0 * np.pi)
-        grad = minkowski_gradient(space, z)
-        euler = abs(2.0 * grad(z) - rho(space, z))
-        scaled = minkowski_gradient(space, 0.5 * z)
-        scale_res = max(
-            abs(a - b) for a, b in zip(scaled.entries, grad.entries)
-        )
-        ph = np.exp(1j * theta)
-        rotated = minkowski_gradient(space, ph * z)
-        phase_res = max(
-            abs(a - np.conj(ph) * b) for a, b in zip(rotated.entries, grad.entries)
-        )
-        fd = wirtinger_fd_gradient(space, z)
-        scale = max(abs(b) for b in grad.entries)
-        fd_res = max(abs(a - b) for a, b in zip(fd.entries, grad.entries)) / scale
-        residuals = {
-            "euler": euler / EULER_TOL,
-            "scale": scale_res / GRAD_COVARIANCE_TOL,
-            "phase": phase_res / GRAD_COVARIANCE_TOL,
-            "fd": fd_res / GRAD_FD_TOL,
-        }
-        value = max(residuals.values())
-        margin = 1.0 - value
-        values.append(value)
-        margins.append(margin)
-        if margin < -cfg.tolerance:
-            violations.append(
-                {"index": i, "z": _complex_list(z), "residuals": residuals}
-            )
-    return values, margins, violations, 1.0, None
+    values = [
+        _worst(_gradient_sample(cfg, space, i)[1].values()) for i in range(cfg.samples)
+    ]
+
+    def witness(i):
+        z, residuals = _gradient_sample(cfg, space, i)
+        return {"index": i, "z": _complex_list(z), "residuals": residuals}
+
+    return values, [1.0 - v for v in values], witness, 1.0, None
+
+
+def _reduction_residuals(space: SpaceSpec, spec, z) -> tuple[float, float]:
+    """Scalar-reduction residual, and the largest disagreement of the
+    closed-form functionals with their explicit pairing and gradient routes."""
+    red = reduction_crosscheck(space, spec, z)
+    dual = []
+    for k in (2, 3, 4):
+        a0 = functional_A(space, spec, z, k)
+        a1 = functional_A(space, spec, z, k, method="pairing")
+        b1 = functional_B(space, spec, z, k, method="gradient")
+        dual += [abs(a0 - a1), abs(a0 - b1)]
+    return red, _worst(dual)
 
 
 def _run_reduction(cfg: CampaignConfig, space: SpaceSpec):
-    """Scalar-reduction residuals plus agreement of the closed-form
-    functionals with their explicit pairing and gradient routes."""
-    values, margins, violations = [], [], []
+    values = []
     for i in range(cfg.samples):
-        rng = np.random.default_rng(subseed(cfg.seed, i))
-        spec = sample_lifted_spec(space, rng)
-        z = sample_point(space, rng)
-        red = reduction_crosscheck(space, spec, z)
-        dual = 0.0
-        for k in (2, 3, 4):
-            a0 = functional_A(space, spec, z, k)
-            a1 = functional_A(space, spec, z, k, method="pairing")
-            b1 = functional_B(space, spec, z, k, method="gradient")
-            dual = max(dual, abs(a0 - a1), abs(a0 - b1))
-        value = max(red / REDUCTION_TOL, dual / DUAL_PATH_TOL)
-        margin = 1.0 - value
-        values.append(value)
-        margins.append(margin)
-        if margin < -cfg.tolerance:
-            violations.append(
-                {
-                    "index": i,
-                    "spec": spec.to_json(),
-                    "z": _complex_list(z),
-                    "reduction_residual": red,
-                    "dual_path_residual": dual,
-                }
-            )
-    return values, margins, violations, 1.0, None
+        red, dual = _reduction_residuals(space, *_lifted_sample(cfg, space, i))
+        values.append(_worst((red / REDUCTION_TOL, dual / DUAL_PATH_TOL)))
+
+    def witness(i):
+        spec, z = _lifted_sample(cfg, space, i)
+        red, dual = _reduction_residuals(space, spec, z)
+        return {
+            "index": i,
+            "spec": spec.to_json(),
+            "z": _complex_list(z),
+            "reduction_residual": red,
+            "dual_path_residual": dual,
+        }
+
+    return values, [1.0 - v for v in values], witness, 1.0, None
 
 
 def _dyadic_direction(space: SpaceSpec) -> np.ndarray:
@@ -315,62 +322,47 @@ def _dyadic_direction(space: SpaceSpec) -> np.ndarray:
 def _run_sharpness(cfg: CampaignConfig, space: SpaceSpec):
     """Extremal maps on their designated rays hit the bound to 1e-12.
 
-    Ball mode uses a generic smooth direction.  Domain mode pins the first
-    coordinate to the slice radius r = 1; for gauges whose sphere is not
-    smooth along that axis (l1 and lp with p < 2) the functionals are
-    evaluated by their continuous extension, since the closed form
+    Ball mode uses a generic smooth direction through ``zalcman_nd``.
+    Domain mode pins the first coordinate to the slice radius r = 1; for
+    gauges whose sphere is not smooth along that axis (l1 and lp with
+    p < 2) that point lies on E, so the functionals are evaluated by their
+    continuous extension ``closed_form_values``, since the closed form
     f_{k-1}(z)/rho^{k-1} does not involve the gradient at all.
     """
-    values, margins, violations = [], [], []
-
     u = _dyadic_direction(space)
     fv = zalcman_nd(space, make_extremal_ball(space, u), 0.75 * u, mode="ball")
-    checks = [("ball", fv.values, fv.zalcman)]
+    zd = 0.75 * (u if space.kind == "sup" else np.eye(space.dim, dtype=complex)[0])
+    checks = [
+        ("ball", fv.values, fv.zalcman),
+        ("domain", *closed_form_values(make_extremal_domain(space, 1.0), zd, rho(space, zd))),
+    ]
 
-    dspec = make_extremal_domain(space, 1.0)
-    if space.kind == "sup":
-        ud = _dyadic_direction(space)
-    else:
-        ud = np.zeros(space.dim, dtype=complex)
-        ud[0] = 1.0
-    if space.kind == "sup" or (space.kind == "lp" and space.p >= 2.0):
-        fv = zalcman_nd(space, dspec, 0.75 * ud, mode="domain")
-        checks.append(("domain", fv.values, fv.zalcman))
-    else:
-        z = 0.75 * ud
-        r = rho(space, z)
-        f = hom_parts(dspec, z, 3)
-        vals = tuple(f[k - 1] / r ** (k - 1) for k in (2, 3, 4))
-        checks.append(("domain", vals, abs(vals[0] * vals[1] - vals[2])))
+    defects = [
+        _worst((abs(vals[0] - 2.0), abs(vals[1] - 3.0), abs(vals[2] - 4.0), abs(zalc - 2.0)))
+        for _, vals, zalc in checks
+    ]
 
-    for i, (mode, vals, zalc) in enumerate(checks):
-        defect = max(
-            abs(vals[0] - 2.0), abs(vals[1] - 3.0), abs(vals[2] - 4.0), abs(zalc - 2.0)
-        )
-        margin = 1.0 - defect / SHARPNESS_TOL
-        values.append(zalc)
-        margins.append(margin)
-        if margin < -cfg.tolerance:
-            violations.append({"index": i, "mode": mode, "defect": defect})
-    return values, margins, violations, 2.0, None
+    def witness(i):
+        return {"index": i, "mode": checks[i][0], "defect": defects[i]}
+
+    margins = [1.0 - d / SHARPNESS_TOL for d in defects]
+    return [zalc for _, _, zalc in checks], margins, witness, 2.0, None
 
 
 def _run_search(cfg: CampaignConfig, _space):
     order = ZalcmanOrder(*cfg.order)
     result = search_extremal(order, cfg.budget, cfg.seed)
-    margin = order.bound - result.value
-    violations = []
-    if margin < -cfg.tolerance:
-        violations.append(
-            {"index": 0, "measure": result.measure.to_json(), "value": result.value}
-        )
+
+    def witness(i):
+        return {"index": i, "measure": result.measure.to_json(), "value": result.value}
+
     extras = {
         "order": list(cfg.order),
         "budget": cfg.budget,
         "evaluations": result.evaluations,
         "best_measure": result.measure.to_json(),
     }
-    return [result.value], [margin], violations, order.bound, extras
+    return [result.value], [order.bound - result.value], witness, order.bound, extras
 
 
 _RUNNERS = {
@@ -418,9 +410,10 @@ def run_campaign(cfg: CampaignConfig) -> CampaignReport:
     pure function of the config."""
     space = _validate(cfg)
     start = time.perf_counter()
-    values, margins, violations, bound, extras = _RUNNERS[cfg.campaign](cfg, space)
+    values, margins, witness, bound, extras = _RUNNERS[cfg.campaign](cfg, space)
     values = np.asarray(values, dtype=float)
     margins = np.asarray(margins, dtype=float)
+    violations = [witness(int(i)) for i in violation_rows(margins, cfg.tolerance)]
     runtime_ms = int(round((time.perf_counter() - start) * 1000.0))
     return CampaignReport(
         campaign=cfg.campaign,
@@ -436,14 +429,26 @@ def run_campaign(cfg: CampaignConfig) -> CampaignReport:
     )
 
 
+def _strict(obj):
+    """``obj`` with every non-finite float replaced by None (JSON null)."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _strict(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_strict(v) for v in obj]
+    return obj
+
+
 def render_report(report: CampaignReport, fmt: str = "json") -> str:
     """Serialize a report; identical reports produce identical bytes.
 
-    JSON carries the aggregate structure and witnesses.  CSV has one row
-    per sample plus an ``aggregate`` footer with the summary columns.
+    JSON carries the aggregate structure and witnesses; it is strict JSON,
+    with non-finite numbers written as null.  CSV has one row per sample
+    plus an ``aggregate`` footer with the summary columns.
     """
     if fmt == "json":
-        return json.dumps(report.to_json(), indent=2) + "\n"
+        return json.dumps(_strict(report.to_json()), indent=2, allow_nan=False) + "\n"
     if fmt == "csv":
         flagged = {v["index"] for v in report.violations if "index" in v}
         buf = io.StringIO()

@@ -11,6 +11,7 @@ Exit status: 0 when the campaign finds no violations, 1 when it does,
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -46,7 +47,9 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--n", type=int, default=3, help="second coefficient index")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser; built once, since parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="zalcman",
         description="Numerical verification of coefficient-functional bounds "

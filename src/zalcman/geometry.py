@@ -139,15 +139,18 @@ def exceptional_distance(space: SpaceSpec, z) -> float:
     return math.inf
 
 
-def _check_off_exceptional(space: SpaceSpec, z) -> np.ndarray:
+def check_off_exceptional(space: SpaceSpec, z) -> tuple[np.ndarray, float]:
+    """(z as a complex vector, rho(z)); raises ExceptionalPoint at the
+    origin or within EXC_EPS of the non-smooth set E."""
     v = _as_vec(z)
-    if rho(space, v) <= EXC_EPS:
+    r = rho(space, v)
+    if r <= EXC_EPS:
         raise ExceptionalPoint("gauge gradient undefined at the origin")
     if exceptional_distance(space, v) < EXC_EPS:
         raise ExceptionalPoint(
             f"point within {EXC_EPS} of the non-smooth set of the {space.kind} gauge"
         )
-    return v
+    return v, r
 
 
 def support_covector(space: SpaceSpec, z) -> Covector:
@@ -157,9 +160,8 @@ def support_covector(space: SpaceSpec, z) -> Covector:
     sup: conj(z_j)/|z_j| at the unique maximizing index j;
     l1:  conj(z_i)/|z_i| in every coordinate.
     """
-    v = _check_off_exceptional(space, z)
+    v, r = check_off_exceptional(space, z)
     if space.kind == "lp":
-        r = rho(space, v)
         mods = np.abs(v)
         entries = np.zeros(space.dim, dtype=complex)
         nz = mods > 0.0

@@ -18,28 +18,27 @@ on the Koebe-type maps built by ``make_extremal_ball`` and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import (
     Covector,
-    ExceptionalPoint,
     InvalidDirection,
     SpaceSpec,
     DIRECTION_TOL,
-    EXC_EPS,
+    check_off_exceptional,
     dual_norm,
-    exceptional_distance,
     minkowski_gradient,
     rho,
     sample_direction,
     support_covector,
     support_pairing,
 )
+from .herglotz import WEIGHT_TOL
 from .series import TruncatedSeries
 
-WEIGHT_TOL = 1e-12
 DUAL_NORM_TOL = 1e-12
 
 # Homogeneous parts are computed through degree 6: enough for the degree-4
@@ -53,7 +52,7 @@ Atom = tuple[float, Covector]
 class LiftedMapSpec:
     """Atoms (lam_k, b_k) of a product map f = prod (1 - b_k . z)^{-2 lam_k}.
 
-    Weights are nonnegative and sum to 1, which makes F(z) = z f(z)
+    Weights are finite, nonnegative and sum to 1, which makes F(z) = z f(z)
     starlike whenever every functional maps the domain into the unit disk;
     check the dual-norm side against a concrete gauge with ``validate_for``.
     """
@@ -69,8 +68,8 @@ class LiftedMapSpec:
         )
         if not self.atoms:
             raise ValueError("need at least one atom")
-        if any(lam < 0 for lam, _ in self.atoms):
-            raise ValueError("atom weights must be nonnegative")
+        if not all(math.isfinite(lam) and lam >= 0 for lam, _ in self.atoms):
+            raise ValueError("atom weights must be finite and nonnegative")
         total = sum(lam for lam, _ in self.atoms)
         if abs(total - 1.0) > WEIGHT_TOL:
             raise ValueError(f"atom weights sum to {total}, expected 1")
@@ -130,10 +129,6 @@ def _atoms_of(spec) -> tuple[Atom, ...]:
                  for lam, b in spec)
 
 
-def _functional_images(spec, z) -> list[complex]:
-    return [b(z) for _, b in _atoms_of(spec)]
-
-
 def hom_parts(spec, z, upto: int) -> list[complex]:
     """Values f_0(z)..f_upto(z) of the homogeneous parts of f at z.
 
@@ -161,14 +156,16 @@ def hom_part_eval(spec, j: int, z) -> complex:
     return hom_parts(spec, z, j)[j]
 
 
-def _checked_point(space: SpaceSpec, z) -> tuple[np.ndarray, float]:
-    v = np.asarray(z, dtype=complex)
-    r = rho(space, v)
-    if r <= EXC_EPS:
-        raise ExceptionalPoint("functionals need z != 0")
-    if exceptional_distance(space, v) < EXC_EPS:
-        raise ExceptionalPoint("point too close to the non-smooth set of the gauge")
-    return v, r
+def closed_form_values(spec, z, r: float) -> tuple[tuple[complex, complex, complex], float]:
+    """The order-2..4 functionals f_{k-1}(z)/r^{k-1} at z with gauge r, and
+    |A2 A3 - A4|.
+
+    No check that z is off E: this is the continuous extension of the
+    functionals, so callers that want the check make it first.
+    """
+    f = hom_parts(spec, z, 3)
+    vals = tuple(f[k - 1] / r ** (k - 1) for k in (2, 3, 4))
+    return vals, abs(vals[0] * vals[1] - vals[2])
 
 
 def _functional_k(space: SpaceSpec, spec, z, k: int, mode: str, method: str) -> complex:
@@ -176,10 +173,10 @@ def _functional_k(space: SpaceSpec, spec, z, k: int, mode: str, method: str) -> 
         raise ValueError("functional order must be 2, 3 or 4")
     if method not in ("closed", "pairing", "gradient"):
         raise ValueError(f"unknown method {method!r}")
-    v, r = _checked_point(space, z)
-    fk = hom_parts(spec, v, k - 1)[k - 1]
+    v, r = check_off_exceptional(space, z)
     if method == "closed":
-        return fk / r ** (k - 1)
+        return closed_form_values(spec, v, r)[0][k - 2]
+    fk = hom_parts(spec, v, k - 1)[k - 1]
     # Explicit pairing with D^k F(0)(z^k)/k! = z f_{k-1}(z); must agree with
     # the closed form because both pairings send z to rho(z) (resp. rho/2).
     w = fk * v
@@ -203,13 +200,12 @@ def zalcman_nd(space: SpaceSpec, spec, z, mode: str = "ball", method: str = "clo
     if mode not in ("ball", "domain"):
         raise ValueError(f"unknown mode {mode!r}")
     if method == "closed":
-        v, r = _checked_point(space, z)
-        f = hom_parts(spec, v, 3)
-        vals = tuple(f[k - 1] / r ** (k - 1) for k in (2, 3, 4))
+        v, r = check_off_exceptional(space, z)
+        vals, value = closed_form_values(spec, v, r)
     else:
         vals = tuple(_functional_k(space, spec, z, k, mode, method) for k in (2, 3, 4))
         v = np.asarray(z, dtype=complex)
-    value = abs(vals[0] * vals[1] - vals[2])
+        value = abs(vals[0] * vals[1] - vals[2])
     return FunctionalValues(mode, vals, value, space, tuple(complex(c) for c in v))
 
 
@@ -227,8 +223,9 @@ def restrict_h(spec, z0, order: int = MAX_HOM_DEGREE) -> TruncatedSeries:
     return num / den
 
 
-def h_eval(spec, z0, zeta: complex) -> complex:
-    """Exact rational value of the transfer function at zeta on the disk."""
+def h_eval(spec, z0, zeta):
+    """Exact rational value of the transfer function at zeta on the disk;
+    elementwise when zeta is an array."""
     acc = 1 + 0j
     for (lam, b) in _atoms_of(spec):
         x = b(z0) * zeta
@@ -286,35 +283,25 @@ def starlikeness_scan(
     """Necessary-condition scan: Re h > 0 sampled over directions and zeta.
 
     Directions are drawn on the unit sphere of the gauge off the
-    exceptional set; the first nonpositive sample is reported as a
+    exceptional set; the first sample in (direction, radius, angle) order
+    whose real part is not positive (NaN included) is reported as a
     witness.  Passing is evidence by sampling, not a proof.
     """
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 0x5CA9)))
     radii = np.geomspace(grid.rmin, grid.rmax, grid.radii)
     phases = np.exp(2j * np.pi * np.arange(grid.angles) / grid.angles)
+    zeta = (radii[:, None] * phases[None, :]).ravel()
     min_real = np.inf
     witness = None
-    count = 0
     for _ in range(grid.directions):
         z0 = sample_direction(space, rng)
-        xs = _functional_images(spec, z0)
-        lams = [lam for lam, _ in _atoms_of(spec)]
-        for r in radii:
-            for ph in phases:
-                zeta = r * ph
-                acc = 1 + 0j
-                for lam, x in zip(lams, xs):
-                    u = zeta * x
-                    acc += 2.0 * lam * u / (1.0 - u)
-                count += 1
-                re = acc.real
-                if re < min_real:
-                    min_real = re
-                if re <= 0.0 and witness is None:
-                    witness = ScanWitness(
-                        tuple(complex(c) for c in z0), complex(zeta), complex(acc)
-                    )
-    return ScanReport(float(min_real), count, witness)
+        h = h_eval(spec, z0, zeta)
+        min_real = np.minimum(min_real, h.real.min())
+        bad = np.flatnonzero(~(h.real > 0.0))
+        if witness is None and bad.size:
+            k = bad[0]
+            witness = ScanWitness(tuple(complex(c) for c in z0), complex(zeta[k]), complex(h[k]))
+    return ScanReport(float(min_real), grid.directions * zeta.size, witness)
 
 
 def reduction_crosscheck(space: SpaceSpec, spec, z) -> float:

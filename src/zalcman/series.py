@@ -1,9 +1,10 @@
 """Truncated one-variable power series over the complex numbers.
 
 Every coefficient computation in this package runs through degree-N jets:
-a series is a finite coefficient vector c_0..c_N, and all arithmetic
-truncates to the shorter operand.  Coefficient k is the k-th Taylor
-coefficient of the represented function (c_1 = g'(0), c_2 = g''(0)/2, ...).
+a series is a finite coefficient vector c_0..c_N, with the exponential,
+the quotient (truncated to the shorter operand) and evaluation.
+Coefficient k is the k-th Taylor coefficient of the represented function
+(c_1 = g'(0), c_2 = g''(0)/2, ...).
 """
 
 from __future__ import annotations
@@ -43,45 +44,6 @@ class TruncatedSeries:
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1
-
-    @classmethod
-    def from_coeffs(cls, coeffs, order: int | None = None) -> "TruncatedSeries":
-        """Build a series, zero-padding or truncating to ``order`` if given."""
-        cs = [complex(c) for c in coeffs]
-        if order is not None:
-            cs = cs[: order + 1] + [0j] * (order + 1 - len(cs))
-        return cls(tuple(cs))
-
-    @classmethod
-    def constant(cls, value: complex, order: int = DEFAULT_ORDER) -> "TruncatedSeries":
-        return cls((complex(value),) + (0j,) * order)
-
-    @classmethod
-    def identity(cls, order: int = DEFAULT_ORDER) -> "TruncatedSeries":
-        """The series of the variable itself: 0 + 1*z."""
-        if order < 1:
-            raise ValueError("identity needs order >= 1")
-        return cls((0j, 1 + 0j) + (0j,) * (order - 1))
-
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        n = min(self.order, other.order)
-        return TruncatedSeries(tuple(self.coeffs[k] + other.coeffs[k] for k in range(n + 1)))
-
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        n = min(self.order, other.order)
-        return TruncatedSeries(tuple(self.coeffs[k] - other.coeffs[k] for k in range(n + 1)))
-
-    def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        """Cauchy product, truncated to the shorter operand."""
-        n = min(self.order, other.order)
-        a, b = self.coeffs, other.coeffs
-        out = []
-        for k in range(n + 1):
-            out.append(sum(a[j] * b[k - j] for j in range(k + 1)))
-        return TruncatedSeries(tuple(out))
-
-    def scale(self, t: complex) -> "TruncatedSeries":
-        return TruncatedSeries(tuple(t * c for c in self.coeffs))
 
     def __truediv__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         """Series quotient q with q*other == self up to the common order.
@@ -131,8 +93,3 @@ class TruncatedSeries:
 
     def __call__(self, zeta: complex) -> complex:
         return self.eval(zeta)
-
-    def isclose(self, other: "TruncatedSeries", tol: float = 1e-12) -> bool:
-        """Coefficientwise agreement through the common order."""
-        n = min(self.order, other.order)
-        return all(abs(self.coeffs[k] - other.coeffs[k]) <= tol for k in range(n + 1))

@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import json
 import math
 
@@ -5,6 +7,7 @@ import pytest
 
 from zalcman import (
     CampaignConfig,
+    Covector,
     HerglotzMeasure,
     LiftedMapSpec,
     UsageError,
@@ -14,8 +17,9 @@ from zalcman import (
     run_campaign,
     zalcman_J,
 )
+from zalcman import campaigns
 from zalcman.campaigns import REPORT_VERSION, emit_report, space_of, subseed
-from zalcman.cli import main
+from zalcman.cli import build_parser, main
 
 
 def small(campaign, **kw):
@@ -259,3 +263,84 @@ def test_cli_unwritable_output_path_is_a_usage_error(tmp_path):
         ["verify", "zalcman1d", "--samples", "2",
          "--out", str(tmp_path / "no" / "such" / "dir" / "x.json")]
     ) == 2
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON constant {token}")
+
+
+def _poison_call(monkeypatch, name, poison, call):
+    """Make call number ``call`` of ``campaigns.<name>`` return poison(result)."""
+    real = getattr(campaigns, name)
+    calls = itertools.count()
+
+    def patched(*args, **kwargs):
+        out = real(*args, **kwargs)
+        return poison(out) if next(calls) == call else out
+
+    monkeypatch.setattr(campaigns, name, patched)
+
+
+def _nan_zalcman(fv):
+    return dataclasses.replace(fv, zalcman=math.nan)
+
+
+def _nan_second_entry(cov):
+    return Covector((cov.entries[0], math.nan) + cov.entries[2:])
+
+
+def _nan_a3(out):
+    (a2, _, a4), zalc = out
+    return (a2, math.nan, a4), zalc
+
+
+# (config, patched value source, poison, poisoned call, row it lands in).
+# The NaN sits after a finite value where it can, since max() skips such a
+# NaN; functional_B runs three times per reduction row, k = 3 is the second.
+NAN_CASES = [
+    (small("ball", samples=5, dim=2, norm="l2"), "zalcman_nd", _nan_zalcman, 2, 2),
+    (small("domain", samples=5, dim=3, norm="sup"), "zalcman_nd", _nan_zalcman, 2, 2),
+    (small("gradients", samples=5, dim=2, norm="lp:3"), "wirtinger_fd_gradient",
+     _nan_second_entry, 2, 2),
+    (small("reduction", samples=5, dim=2, norm="l1"), "functional_B",
+     lambda b: math.nan, 3 * 2 + 1, 2),
+    (small("sharpness", dim=2, norm="l1"), "closed_form_values", _nan_a3, 0, 1),
+    (small("search", budget=300), "search_extremal",
+     lambda result: result._replace(value=math.nan), 0, 0),
+]
+
+
+def _argv(cfg):
+    if cfg.campaign == "search":
+        return ["search", "--seed", str(cfg.seed), "--budget", str(cfg.budget)]
+    return ["verify", cfg.campaign, "--seed", str(cfg.seed), "--samples", str(cfg.samples),
+            "--dim", str(cfg.dim), "--norm", cfg.norm]
+
+
+@pytest.mark.parametrize("cfg, name, poison, call, row", NAN_CASES,
+                         ids=[case[0].campaign for case in NAN_CASES])
+def test_a_nan_row_fails_the_report(cfg, name, poison, call, row, monkeypatch, tmp_path, capsys):
+    _poison_call(monkeypatch, name, poison, call)
+    rep = run_campaign(cfg)
+    assert not rep.passed
+    assert [w["index"] for w in rep.violations] == [row]
+
+    _poison_call(monkeypatch, name, poison, call)
+    target = tmp_path / "report.json"
+    assert main(_argv(cfg) + ["--out", str(target)]) == 1
+    obj = json.loads(target.read_text(), parse_constant=_reject_constant)
+    assert [w["index"] for w in obj["violations"]] == [row]
+    assert obj["min_margin"] is None
+    capsys.readouterr()
+
+
+def test_finite_json_reports_keep_their_bytes_and_others_write_null():
+    rep = run_campaign(small("ball", samples=4))
+    assert render_report(rep, "json") == json.dumps(rep.to_json(), indent=2) + "\n"
+    doctored = dataclasses.replace(rep, max_value=math.inf, min_margin=-math.inf)
+    obj = json.loads(render_report(doctored, "json"), parse_constant=_reject_constant)
+    assert obj["max_value"] is None and obj["min_margin"] is None
+
+
+def test_cli_parser_is_built_once():
+    assert build_parser() is build_parser()

@@ -11,6 +11,7 @@ from zalcman import (
     GridSpec,
     InvalidDirection,
     LiftedMapSpec,
+    dual_norm,
     euclidean,
     functional_A,
     functional_B,
@@ -56,6 +57,17 @@ def test_spec_validation():
         LiftedMapSpec(((-0.2, Covector((1.0,))), (1.2, Covector((1.0,)))))
     with pytest.raises(ValueError):
         LiftedMapSpec(((0.7, Covector((1.0,))),))
+    # NaN compares false against both the sign and the sum checks, so it
+    # needs its own rejection, in the constructor and in from_json alike.
+    for lam in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            LiftedMapSpec(((lam, Covector((1.0, 0.0))),))
+        with pytest.raises(ValueError):
+            LiftedMapSpec(((0.5, Covector((1.0, 0.0))), (lam, Covector((0.0, 1.0)))))
+    for token in ("NaN", "Infinity"):
+        obj = json.loads(f'{{"atoms": [{{"lambda": {token}, "b": [[1.0, 0.0], [0.0, 0.0]]}}]}}')
+        with pytest.raises(ValueError):
+            LiftedMapSpec.from_json(obj)
 
 
 def test_validate_for_checks_dual_norms():
@@ -266,6 +278,43 @@ def test_scan_flags_the_overweight_spec():
     assert rep.witness.h_value.real <= 0.0
     w = rep.witness.to_json()
     assert set(w) == {"direction", "zeta", "h"}
+
+
+def pointwise_scan(space, spec, grid, seed):
+    """(min Re h, first nonpositive (direction, zeta, h)) by scalar h_eval
+    calls in (direction, radius, angle) order, with the scan's directions."""
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 0x5CA9)))
+    radii = np.geomspace(grid.rmin, grid.rmax, grid.radii)
+    min_real, first = math.inf, None
+    for _ in range(grid.directions):
+        z0 = sample_direction(space, rng)
+        for r in radii:
+            for j in range(grid.angles):
+                zeta = complex(r * np.exp(2j * np.pi * j / grid.angles))
+                h = h_eval(spec, z0, zeta)
+                min_real = min(min_real, h.real)
+                if h.real <= 0.0 and first is None:
+                    first = (z0, zeta, h)
+    return min_real, first
+
+
+@pytest.mark.parametrize("valid", [True, False])
+def test_scan_matches_a_pointwise_walk(valid):
+    grid = GridSpec(directions=5, radii=4, angles=9)
+    spec = sample_lifted_spec(E2, np.random.default_rng(81))
+    if not valid:
+        b = spec.atoms[0][1]
+        spec = single_atom(b.scale(1.5 / dual_norm(E2, b)).entries)
+    rep = starlikeness_scan(E2, spec, grid, seed=4)
+    min_real, first = pointwise_scan(E2, spec, grid, seed=4)
+    assert rep.samples == 5 * 4 * 9
+    assert abs(rep.min_real - min_real) <= 1e-12 * abs(min_real)
+    assert rep.passed == valid == (first is None)
+    if first is not None:
+        z0, zeta, h = first
+        assert rep.witness.direction == tuple(complex(c) for c in z0)
+        assert abs(rep.witness.zeta - zeta) <= 1e-12
+        assert abs(rep.witness.h_value - h) <= 1e-12 * abs(h)
 
 
 def test_scan_of_the_trivial_spec_is_flat():

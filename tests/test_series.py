@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -18,6 +19,16 @@ def coeff_lists(min_size=1, max_size=8):
     return st.lists(unit_complex, min_size=min_size, max_size=max_size)
 
 
+def padded(coeffs, order):
+    """The series c_0..c_order: ``coeffs`` followed by zeros."""
+    return TruncatedSeries(tuple(coeffs) + (0,) * (order + 1 - len(coeffs)))
+
+
+def product(a, b, order):
+    """Cauchy product of two coefficient sequences, through ``order``."""
+    return np.convolve(a, b)[: order + 1]
+
+
 def test_construction_and_order():
     s = TruncatedSeries((1, 2, 3))
     assert s.order == 2
@@ -26,38 +37,16 @@ def test_construction_and_order():
         TruncatedSeries(())
 
 
-def test_from_coeffs_pads_and_truncates():
-    s = TruncatedSeries.from_coeffs([1, 2], order=4)
-    assert s.coeffs == (1, 2, 0, 0, 0)
-    t = TruncatedSeries.from_coeffs([1, 2, 3, 4], order=1)
-    assert t.coeffs == (1, 2)
-
-
-def test_constant_and_identity():
-    assert TruncatedSeries.constant(5.0).coeffs == (5,) + (0,) * DEFAULT_ORDER
-    z = TruncatedSeries.identity(order=3)
-    assert z.coeffs == (0, 1, 0, 0)
-    assert z(0.25) == 0.25
-    with pytest.raises(ValueError):
-        TruncatedSeries.identity(order=0)
-
-
-def test_mul_known_square():
-    one_plus_z = TruncatedSeries((1, 1, 0, 0))
-    sq = one_plus_z * one_plus_z
-    assert sq.coeffs == (1, 2, 1, 0)
-
-
-def test_mul_truncates_to_min_order():
+def test_div_truncates_to_min_order():
     a = TruncatedSeries((1, 1))
     b = TruncatedSeries((1, 1, 1, 1))
-    assert (a * b).order == 1
-    assert (a + b).order == 1
+    assert (a / b).order == 1
+    assert (b / a).order == 1
 
 
 def test_div_geometric_series():
-    one = TruncatedSeries.constant(1.0, order=6)
-    one_minus_z = TruncatedSeries.from_coeffs([1, -1], order=6)
+    one = TruncatedSeries((1, 0, 0, 0, 0, 0, 0))
+    one_minus_z = TruncatedSeries((1, -1, 0, 0, 0, 0, 0))
     geo = one / one_minus_z
     assert geo.coeffs == (1,) * 7
 
@@ -71,7 +60,7 @@ def test_div_near_singular_raises():
 
 
 def test_exp_of_z_gives_factorials():
-    e = TruncatedSeries.identity(order=7).exp()
+    e = TruncatedSeries((0, 1, 0, 0, 0, 0, 0, 0)).exp()
     for k, c in enumerate(e.coeffs):
         assert abs(c - 1.0 / math.factorial(k)) < 1e-15
 
@@ -87,31 +76,6 @@ def test_eval_is_horner_polynomial():
     assert s(zeta) == 1 + 2 * zeta + 3 * zeta * zeta
 
 
-def test_isclose_respects_tolerance():
-    a = TruncatedSeries((1.0, 2.0))
-    b = TruncatedSeries((1.0 + 1e-14, 2.0))
-    assert a.isclose(b)
-    assert not a.isclose(TruncatedSeries((1.1, 2.0)))
-
-
-@given(coeff_lists(), coeff_lists())
-def test_mul_commutes(xs, ys):
-    a, b = TruncatedSeries(tuple(xs)), TruncatedSeries(tuple(ys))
-    assert (a * b).isclose(b * a)
-
-
-@given(coeff_lists(max_size=6), coeff_lists(max_size=6), coeff_lists(max_size=6))
-def test_mul_associates(xs, ys, zs):
-    a, b, c = (TruncatedSeries(tuple(v)) for v in (xs, ys, zs))
-    assert ((a * b) * c).isclose(a * (b * c), tol=1e-11)
-
-
-@given(coeff_lists(), coeff_lists())
-def test_add_then_subtract_roundtrips(xs, ys):
-    a, b = TruncatedSeries(tuple(xs)), TruncatedSeries(tuple(ys))
-    assert (a + b - b).isclose(a)
-
-
 @given(
     coeff_lists(),
     st.builds(
@@ -125,16 +89,16 @@ def test_div_mul_roundtrip(xs, b0, btail):
     # Division is backward stable only when the leading denominator
     # coefficient is well away from the DIV_EPS cutoff.
     a = TruncatedSeries(tuple(xs))
-    b = TruncatedSeries.from_coeffs([b0] + btail, order=a.order)
+    b = padded(([b0] + btail)[: a.order + 1], a.order)
     q = a / b
-    assert (q * b).isclose(a, tol=1e-10)
+    assert np.allclose(product(q.coeffs, b.coeffs, a.order), a.coeffs, rtol=0, atol=1e-10)
 
 
 @given(st.lists(unit_complex, min_size=1, max_size=18))
 def test_exp_matches_pointwise_exponential(xs):
     # The truncation tail of exp at order n is governed by sum |a|^k |zeta|^n;
     # order 18 keeps it below 1e-8 for unit coefficients on |zeta| <= 0.3.
-    a = TruncatedSeries.from_coeffs([0] + xs, order=18)
+    a = padded([0] + xs, 18)
     e = a.exp()
     for zeta in (0.3, -0.3, 0.2 + 0.2j, 0.25j):
         assert abs(e(zeta) - cmath.exp(a(zeta))) < 1e-8
@@ -146,7 +110,7 @@ def test_exp_matches_pointwise_at_default_order_for_small_coeffs(xs):
     # At the default order the dropped cross terms enter at degree 8, so
     # the coefficient budget has to be small; 0.003 keeps the worst-case
     # tail below 3e-9 on |zeta| <= 0.3.
-    a = TruncatedSeries.from_coeffs([0] + xs, order=DEFAULT_ORDER)
+    a = padded([0] + xs, DEFAULT_ORDER)
     e = a.exp()
     for zeta in (0.3, -0.3, 0.15 + 0.15j):
         assert abs(e(zeta) - cmath.exp(a(zeta))) < 1e-8
@@ -154,6 +118,7 @@ def test_exp_matches_pointwise_at_default_order_for_small_coeffs(xs):
 
 @given(coeff_lists())
 def test_exp_of_negation_is_reciprocal(xs):
-    a = TruncatedSeries.from_coeffs([0] + xs, order=8)
-    lhs = a.exp() * a.scale(-1.0).exp()
-    assert lhs.isclose(TruncatedSeries.constant(1.0, order=8), tol=1e-10)
+    a = padded([0] + xs, 8)
+    minus_a = TruncatedSeries(tuple(-c for c in a.coeffs))
+    lhs = product(a.exp().coeffs, minus_a.exp().coeffs, 8)
+    assert np.allclose(lhs, [1] + [0] * 8, rtol=0, atol=1e-10)

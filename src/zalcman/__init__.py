@@ -42,7 +42,6 @@ from .geometry import (
     sample_point,
     sup_space,
     support_covector,
-    support_pairing,
     wirtinger_fd_gradient,
 )
 from .mappings import (
@@ -126,7 +125,6 @@ __all__ = [
     "starlikeness_scan",
     "sup_space",
     "support_covector",
-    "support_pairing",
     "wirtinger_fd_gradient",
     "zalcman_J",
     "zalcman_nd",

@@ -2,12 +2,16 @@
 
 Each campaign replays one of the package's inequality or identity suites
 over a deterministic pseudo-random stream, so reports are reproducible,
-order-independent, and safe to shard.  In the one-variable campaigns
-(caratheodory, zalcman1d) sample i is a pure function of (seed, i) under
-the counter-based stream of ``herglotz.uniforms``, and the samples go
-through one vectorised kernel in blocks of ``herglotz.SAMPLE_BLOCK`` rows;
-the several-variables campaigns draw sample i from
-``np.random.default_rng(subseed(seed, i))``.  Bound campaigns
+order-independent, and safe to shard.  In every sampled campaign
+(caratheodory, zalcman1d, ball, domain, gradients, reduction) sample i is a
+pure function of (seed, i) under the counter-based stream of
+``herglotz.uniforms``, and the samples go through one vectorised kernel in
+blocks of at most ``herglotz.SAMPLE_BLOCK`` rows: ``sample_batch`` and the
+moment kernel in one variable; ``mappings.spec_rows``,
+``geometry.point_rows``/``sphere_rows`` and the batched gauge, covector,
+homogeneous-part and reduction kernels in several.  A sample that lands
+near the exceptional set draws its next attempt from further draw indices
+of its own stream, so it stays a pure function of (seed, i).  Bound campaigns
 (caratheodory, zalcman1d, ball, domain) track the raw functional value
 against its theorem bound; identity campaigns (gradients, reduction,
 sharpness) track residuals normalized by their per-check tolerance, so a
@@ -34,25 +38,27 @@ import numpy as np
 
 from .geometry import (
     SpaceSpec,
+    fd_gradient_rows,
+    gradient_rows,
     l1_space,
     lp_space,
-    minkowski_gradient,
+    pair,
+    point_rows,
     rho,
-    sample_direction,
-    sample_point,
+    sphere_rows,
     sup_space,
-    wirtinger_fd_gradient,
 )
-from .herglotz import batch_margins, sample_blocks, sample_measure
+from .herglotz import SAMPLE_BLOCK, batch_margins, modulus, sample_blocks, sample_measure, uniforms
 from .mappings import (
+    LiftedMapSpec,
     closed_form_values,
-    functional_A,
-    functional_B,
     make_extremal_ball,
     make_extremal_domain,
-    reduction_crosscheck,
-    sample_lifted_spec,
+    reduction_rows,
+    spec_draws,
+    spec_rows,
     zalcman_nd,
+    zalcman_rows,
 )
 from .starlike import ZalcmanOrder, search_extremal, zalcman_values
 
@@ -60,7 +66,9 @@ DEFAULT_TOLERANCE = 1e-9
 
 # Version of the report contract.  2: the one-variable campaigns draw their
 # samples from the counter-based stream, and JSON reports carry this key.
-REPORT_VERSION = 2
+# 3: so do ball, domain, gradients and reduction, and sharpness evaluates
+# through the batched several-variables kernels (its values move by ulps).
+REPORT_VERSION = 3
 
 # Per-check residual tolerances for the identity campaigns; margins are
 # reported as 1 - residual/tolerance so the pass criterion is uniform.
@@ -71,6 +79,13 @@ GRAD_MIN_GAP = 0.05
 REDUCTION_TOL = 1e-10
 DUAL_PATH_TOL = 1e-12
 SHARPNESS_TOL = 1e-12
+
+# Order of the normalized residuals of a gradients sample.
+GRADIENT_CHECKS = ("euler", "scale", "phase", "fd")
+
+# A several-variables block holds at most this many rows x dim, so its
+# atom arrays stay a few MB whatever the dimension.
+LIFTED_BLOCK_ENTRIES = 50_000
 
 BOUND_CAMPAIGNS = ("caratheodory", "zalcman1d", "ball", "domain")
 IDENTITY_CAMPAIGNS = ("gradients", "reduction", "sharpness")
@@ -84,7 +99,8 @@ class UsageError(ValueError):
 
 
 def subseed(seed: int, index: int) -> np.random.SeedSequence:
-    """Splittable per-sample seed; independent of evaluation order."""
+    """Splittable per-sample seed for Generator-driven callers; independent
+    of evaluation order.  The campaigns themselves use the counter stream."""
     return np.random.SeedSequence(entropy=(seed, index))
 
 
@@ -211,24 +227,53 @@ def _run_zalcman1d(cfg: CampaignConfig, _space):
     return values, order.bound - values, witness, order.bound, None
 
 
+def _stream(seed: int, indices: np.ndarray):
+    """The uniform source (see ``geometry.sphere_rows``) of the given sample
+    indices under the counter-based stream."""
+    return lambda rows, start, count: uniforms(seed, indices[rows], count, start)
+
+
+def _index_blocks(cfg: CampaignConfig, space: SpaceSpec):
+    """Sample indices 0..samples-1 in blocks of at most SAMPLE_BLOCK rows
+    (fewer in high dimension, see LIFTED_BLOCK_ENTRIES)."""
+    block = min(SAMPLE_BLOCK, max(1, LIFTED_BLOCK_ENTRIES // space.dim))
+    for first in range(0, cfg.samples, block):
+        yield np.arange(first, min(first + block, cfg.samples))
+
+
+def _lifted_rows(cfg: CampaignConfig, space: SpaceSpec, indices: np.ndarray):
+    """(weights, covectors, atom counts, points) of the given samples of
+    ball, domain and reduction: the map from the first ``spec_draws`` draws
+    of each sample, the point from the draws after them."""
+    draw = _stream(cfg.seed, indices)
+    lams, covs, counts = spec_rows(space, draw, len(indices))
+    return lams, covs, counts, point_rows(space, draw, len(indices), spec_draws(space))
+
+
 def _lifted_sample(cfg: CampaignConfig, space: SpaceSpec, i: int):
-    """(spec, z) of sample i of a several-variables campaign."""
-    rng = np.random.default_rng(subseed(cfg.seed, i))
-    spec = sample_lifted_spec(space, rng)
-    return spec, sample_point(space, rng)
+    """(spec, z) of sample i of a several-variables campaign: its row of a
+    batch of one."""
+    lams, covs, counts, z = _lifted_rows(cfg, space, np.array([i]))
+    return LiftedMapSpec.from_row(lams[0, : counts[0]], covs[0, : counts[0]]), z[0]
+
+
+def _lifted_blocks(cfg: CampaignConfig, space: SpaceSpec):
+    """(weights, covectors, points) of every block of samples."""
+    for indices in _index_blocks(cfg, space):
+        lams, covs, _, z = _lifted_rows(cfg, space, indices)
+        yield lams, covs, z
 
 
 def _run_lifted_bound(cfg: CampaignConfig, space: SpaceSpec, mode: str):
-    values = [
-        zalcman_nd(space, *_lifted_sample(cfg, space, i), mode=mode).zalcman
-        for i in range(cfg.samples)
-    ]
+    values = np.concatenate(
+        [zalcman_rows(space, lams, covs, z, mode)[1] for lams, covs, z in _lifted_blocks(cfg, space)]
+    )
 
     def witness(i):
         spec, z = _lifted_sample(cfg, space, i)
-        return {"index": i, "spec": spec.to_json(), "z": _complex_list(z), "value": values[i]}
+        return {"index": i, "spec": spec.to_json(), "z": _complex_list(z), "value": float(values[i])}
 
-    return values, [2.0 - v for v in values], witness, 2.0, None
+    return values, 2.0 - values, witness, 2.0, None
 
 
 def _run_ball(cfg, space):
@@ -239,78 +284,77 @@ def _run_domain(cfg, space):
     return _run_lifted_bound(cfg, space, "domain")
 
 
-def _gradient_sample(cfg: CampaignConfig, space: SpaceSpec, i: int):
-    """(z, residuals) of sample i of the gradients campaign."""
-    rng = np.random.default_rng(subseed(cfg.seed, i))
-    z = sample_direction(space, rng, min_gap=GRAD_MIN_GAP)
-    theta = rng.uniform(0.0, 2.0 * np.pi)
-    grad = minkowski_gradient(space, z)
-    euler = abs(2.0 * grad(z) - rho(space, z))
-    scaled = minkowski_gradient(space, 0.5 * z)
-    scale_res = _worst(abs(a - b) for a, b in zip(scaled.entries, grad.entries))
-    ph = np.exp(1j * theta)
-    rotated = minkowski_gradient(space, ph * z)
-    phase_res = _worst(
-        abs(a - np.conj(ph) * b) for a, b in zip(rotated.entries, grad.entries)
+def _gradient_residuals(space: SpaceSpec, z: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """(rows, 4) residuals of the gauge-gradient laws at the unit-gauge
+    rows of z, each over its tolerance, in GRADIENT_CHECKS order: the Euler
+    identity 2 (d rho/dz) z = rho, covariance under z -> z/2 and under
+    z -> e^{i theta} z, and the finite-difference cross-check relative to
+    the largest gradient entry."""
+    grad = gradient_rows(space, z)
+    euler = modulus(2.0 * pair(grad, z) - rho(space, z))
+    scale = modulus(gradient_rows(space, 0.5 * z) - grad).max(axis=1)
+    ph = np.exp(1j * theta)[:, None]
+    phase = modulus(gradient_rows(space, ph * z) - np.conj(ph) * grad).max(axis=1)
+    fd = modulus(fd_gradient_rows(space, z) - grad).max(axis=1) / modulus(grad).max(axis=1)
+    return np.stack(
+        [euler / EULER_TOL, scale / GRAD_COVARIANCE_TOL, phase / GRAD_COVARIANCE_TOL, fd / GRAD_FD_TOL],
+        axis=1,
     )
-    fd = wirtinger_fd_gradient(space, z)
-    scale = _worst(abs(b) for b in grad.entries)
-    fd_res = _worst(abs(a - b) for a, b in zip(fd.entries, grad.entries)) / scale
-    residuals = {
-        "euler": euler / EULER_TOL,
-        "scale": scale_res / GRAD_COVARIANCE_TOL,
-        "phase": phase_res / GRAD_COVARIANCE_TOL,
-        "fd": fd_res / GRAD_FD_TOL,
-    }
-    return z, residuals
+
+
+def _gradient_rows(cfg: CampaignConfig, space: SpaceSpec, indices: np.ndarray):
+    """(z, residuals) of the given samples of the gradients campaign: the
+    rotation angle from draw 0, the sphere point from the draws after it."""
+    draw = _stream(cfg.seed, indices)
+    theta = 2.0 * np.pi * draw(np.arange(len(indices)), 0, 1)[:, 0]
+    z = sphere_rows(space, draw, len(indices), 1, GRAD_MIN_GAP)
+    return z, _gradient_residuals(space, z, theta)
+
+
+def _gradient_sample(cfg: CampaignConfig, space: SpaceSpec, i: int):
+    """(z, residuals) of sample i of the gradients campaign: its row of a
+    batch of one."""
+    z, residuals = _gradient_rows(cfg, space, np.array([i]))
+    return z[0], dict(zip(GRADIENT_CHECKS, residuals[0].tolist()))
 
 
 def _run_gradients(cfg: CampaignConfig, space: SpaceSpec):
     """Euler identity, scale/phase covariance, and the finite-difference
     cross-check of the gauge gradient, on sphere points well off E (the
     FD stencil needs quantitative smoothness, not just z not in E)."""
-    values = [
-        _worst(_gradient_sample(cfg, space, i)[1].values()) for i in range(cfg.samples)
-    ]
+    values = np.concatenate(
+        [_gradient_rows(cfg, space, indices)[1].max(axis=1) for indices in _index_blocks(cfg, space)]
+    )
 
     def witness(i):
         z, residuals = _gradient_sample(cfg, space, i)
         return {"index": i, "z": _complex_list(z), "residuals": residuals}
 
-    return values, [1.0 - v for v in values], witness, 1.0, None
-
-
-def _reduction_residuals(space: SpaceSpec, spec, z) -> tuple[float, float]:
-    """Scalar-reduction residual, and the largest disagreement of the
-    closed-form functionals with their explicit pairing and gradient routes."""
-    red = reduction_crosscheck(space, spec, z)
-    dual = []
-    for k in (2, 3, 4):
-        a0 = functional_A(space, spec, z, k)
-        a1 = functional_A(space, spec, z, k, method="pairing")
-        b1 = functional_B(space, spec, z, k, method="gradient")
-        dual += [abs(a0 - a1), abs(a0 - b1)]
-    return red, _worst(dual)
+    return values, 1.0 - values, witness, 1.0, None
 
 
 def _run_reduction(cfg: CampaignConfig, space: SpaceSpec):
-    values = []
-    for i in range(cfg.samples):
-        red, dual = _reduction_residuals(space, *_lifted_sample(cfg, space, i))
-        values.append(_worst((red / REDUCTION_TOL, dual / DUAL_PATH_TOL)))
+    """The scalar-reduction identities and the agreement of the closed form
+    with its pairing and gradient routes (``mappings.reduction_rows``)."""
+    values = np.concatenate(
+        [
+            np.maximum(red / REDUCTION_TOL, dual / DUAL_PATH_TOL)
+            for red, dual in (reduction_rows(space, *block) for block in _lifted_blocks(cfg, space))
+        ]
+    )
 
     def witness(i):
         spec, z = _lifted_sample(cfg, space, i)
-        red, dual = _reduction_residuals(space, spec, z)
+        red, dual = reduction_rows(space, *spec.padded(), z[None])
         return {
             "index": i,
             "spec": spec.to_json(),
             "z": _complex_list(z),
-            "reduction_residual": red,
-            "dual_path_residual": dual,
+            "reduction_residual": float(red[0]),
+            "dual_path_residual": float(dual[0]),
         }
 
-    return values, [1.0 - v for v in values], witness, 1.0, None
+    return values, 1.0 - values, witness, 1.0, None
 
 
 def _dyadic_direction(space: SpaceSpec) -> np.ndarray:

@@ -11,6 +11,15 @@ off the exceptional set E where rho fails to be C^1 (coordinate-modulus
 ties for sup, coordinate zeros for ell^1 and 1 < p < 2).  Gradients are
 validated elsewhere against central finite differences of rho on R^{2n}
 with the convention d/dz = (d/dx - i d/dy)/2.
+
+The gauge, the distance to E and the dual norm take one vector or an array
+of vectors along its last axis, such as the (rows, atoms, dim) covectors
+of a batch of lifted maps; the covector, gradient and finite-difference
+kernels take (rows, dim) arrays, and ``support_covector``,
+``minkowski_gradient`` and ``wirtinger_fd_gradient`` are batch-of-one
+calls into them.  The samplers turn uniforms into points, drawn either
+from the counter-based stream of ``herglotz.uniforms`` or from a numpy
+Generator, through the same transform.
 """
 
 from __future__ import annotations
@@ -22,6 +31,9 @@ import numpy as np
 
 # Points closer to E than this are rejected; samplers resample.
 EXC_EPS = 1e-8
+
+# A sampled row that lands near E this many times in a row is an error.
+SPHERE_ATTEMPTS = 1000
 
 DIRECTION_TOL = 1e-12
 
@@ -92,7 +104,7 @@ class Covector:
         object.__setattr__(self, "entries", tuple(complex(c) for c in self.entries))
 
     def __call__(self, w) -> complex:
-        return complex(np.dot(np.asarray(self.entries), np.asarray(w, dtype=complex)))
+        return complex(pair(np.array([self.entries]), _as_vec(w)[None])[0])
 
     def scale(self, t: complex) -> "Covector":
         return Covector(tuple(t * c for c in self.entries))
@@ -109,131 +121,238 @@ def _as_vec(z) -> np.ndarray:
     return np.asarray(z, dtype=complex)
 
 
-def rho(space: SpaceSpec, z) -> float:
-    """The gauge of z: p-norm, max modulus, or sum of moduli."""
+def pair(b: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """sum_i b_i w_i along the last axis (no conjugation)."""
+    return (b * w).sum(axis=-1)
+
+
+def _moduli(space: SpaceSpec, z) -> tuple[np.ndarray, tuple]:
+    """|z| as a (rows, dim) array, and the leading shape of z."""
     v = np.abs(_as_vec(z))
-    if v.shape != (space.dim,):
-        raise ValueError(f"expected a vector of length {space.dim}")
+    if v.ndim == 0 or v.shape[-1] != space.dim:
+        raise ValueError(f"expected vectors of length {space.dim}")
+    return v.reshape(-1, space.dim), v.shape[:-1]
+
+
+def _shaped(values: np.ndarray, lead: tuple):
+    """A float for a single vector, else an array of the leading shape."""
+    return float(values[0]) if lead == () else values.reshape(lead)
+
+
+def rho(space: SpaceSpec, z):
+    """The gauge of z: p-norm, max modulus, or sum of moduli.  A single
+    vector gives a float, an array of vectors an array of its leading
+    shape."""
+    v, lead = _moduli(space, z)
     if space.kind == "lp":
-        return float(np.sum(v ** space.p) ** (1.0 / space.p))
+        return _shaped(np.sum(v ** space.p, axis=1) ** (1.0 / space.p), lead)
     if space.kind == "sup":
-        return float(v.max())
-    return float(v.sum())
+        return _shaped(v.max(axis=1), lead)
+    return _shaped(v.sum(axis=1), lead)
 
 
-def exceptional_distance(space: SpaceSpec, z) -> float:
+def exceptional_distance(space: SpaceSpec, z):
     """Continuous proxy for the distance from z to the non-smooth set E.
 
     sup: gap between the two largest coordinate moduli; ell^1 and ell^p
     with p < 2: smallest coordinate modulus; ell^p with p >= 2 is smooth
     off the origin, so the distance is +inf.
     """
-    v = np.abs(_as_vec(z))
+    v, lead = _moduli(space, z)
     if space.kind == "sup":
         if space.dim == 1:
-            return float(v[0])
-        top2 = np.partition(v, space.dim - 2)[-2:]
-        return float(top2[1] - top2[0])
+            return _shaped(v[:, 0], lead)
+        top2 = np.partition(v, space.dim - 2, axis=1)[:, -2:]
+        return _shaped(top2[:, 1] - top2[:, 0], lead)
     if space.kind == "l1" or (space.kind == "lp" and space.p < 2.0):
-        return float(v.min())
-    return math.inf
+        return _shaped(v.min(axis=1), lead)
+    return _shaped(np.full(len(v), math.inf), lead)
 
 
-def check_off_exceptional(space: SpaceSpec, z) -> tuple[np.ndarray, float]:
-    """(z as a complex vector, rho(z)); raises ExceptionalPoint at the
-    origin or within EXC_EPS of the non-smooth set E."""
+def check_off_exceptional(space: SpaceSpec, z):
+    """(z as a complex array, rho(z)); raises ExceptionalPoint if z, or any
+    row of an array of vectors, is at the origin or within EXC_EPS of the
+    non-smooth set E."""
     v = _as_vec(z)
     r = rho(space, v)
-    if r <= EXC_EPS:
+    if np.any(r <= EXC_EPS):
         raise ExceptionalPoint("gauge gradient undefined at the origin")
-    if exceptional_distance(space, v) < EXC_EPS:
+    if np.any(exceptional_distance(space, v) < EXC_EPS):
         raise ExceptionalPoint(
             f"point within {EXC_EPS} of the non-smooth set of the {space.kind} gauge"
         )
     return v, r
 
 
-def support_covector(space: SpaceSpec, z) -> Covector:
-    """Entries of the canonical support functional l_z.
+def support_rows(space: SpaceSpec, v: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Entries of the canonical support functional l_z of every row of a
+    (rows, dim) array already checked off E, given its gauges r.
 
     lp:  rho^{1-p} |z_i|^{p-2} conj(z_i)   (0 for z_i = 0, p > 2);
     sup: conj(z_j)/|z_j| at the unique maximizing index j;
     l1:  conj(z_i)/|z_i| in every coordinate.
     """
-    v, r = check_off_exceptional(space, z)
+    mods = np.abs(v)
     if space.kind == "lp":
-        mods = np.abs(v)
-        entries = np.zeros(space.dim, dtype=complex)
-        nz = mods > 0.0
-        entries[nz] = r ** (1.0 - space.p) * mods[nz] ** (space.p - 2.0) * np.conj(v[nz])
-        return Covector(tuple(entries))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            entries = r[:, None] ** (1.0 - space.p) * mods ** (space.p - 2.0) * np.conj(v)
+        return np.where(mods > 0.0, entries, 0.0)
     if space.kind == "sup":
-        j = int(np.argmax(np.abs(v)))
-        entries = np.zeros(space.dim, dtype=complex)
-        entries[j] = np.conj(v[j]) / abs(v[j])
-        return Covector(tuple(entries))
-    return Covector(tuple(np.conj(v) / np.abs(v)))
+        rows, j = np.arange(len(v)), np.argmax(mods, axis=1)
+        entries = np.zeros(v.shape, dtype=complex)
+        entries[rows, j] = np.conj(v[rows, j]) / mods[rows, j]
+        return entries
+    return np.conj(v) / mods
 
 
-def support_pairing(space: SpaceSpec, z, w) -> complex:
-    """l_z(w) for the canonical support functional at z."""
-    return support_covector(space, z)(w)
+def gradient_rows(space: SpaceSpec, z: np.ndarray) -> np.ndarray:
+    """Wirtinger gradients of the gauge at every row of a (rows, dim) array,
+    half the support covectors; raises ExceptionalPoint as
+    ``check_off_exceptional`` does."""
+    return 0.5 * support_rows(space, *check_off_exceptional(space, z))
+
+
+def support_covector(space: SpaceSpec, z) -> Covector:
+    """The canonical support functional l_z (see ``support_rows``)."""
+    v, r = check_off_exceptional(space, _as_vec(z)[None])
+    return Covector(tuple(support_rows(space, v, r)[0].tolist()))
 
 
 def minkowski_gradient(space: SpaceSpec, z) -> Covector:
     """Wirtinger gradient of the gauge; half the support covector."""
-    return support_covector(space, z).scale(0.5)
+    return Covector(tuple(gradient_rows(space, _as_vec(z)[None])[0].tolist()))
 
 
-def dual_norm(space: SpaceSpec, b: Covector | tuple) -> float:
-    """Operator norm of the functional w -> sum b_i w_i on the gauge ball."""
+def dual_norm(space: SpaceSpec, b):
+    """Operator norm of the functional w -> sum b_i w_i on the gauge ball;
+    ``b`` is a Covector, one entry sequence, or an array of them along its
+    last axis."""
     entries = np.abs(_as_vec(b.entries if isinstance(b, Covector) else b))
+    lead = entries.shape[:-1]
+    entries = entries.reshape(-1, entries.shape[-1])
     if space.kind == "lp":
         q = space.p / (space.p - 1.0)
-        total = np.sum(entries ** q)
-        if not _FLOAT_TINY <= total < math.inf:
+        total = np.sum(entries ** q, axis=1)
+        norm = total ** (1.0 / q)
+        off = ~((_FLOAT_TINY <= total) & (total < math.inf))
+        if off.any():
             # The power sum left the normal range (subnormal sums keep only a
             # few significant bits), so factor out the largest entry.  A zero,
             # infinite or NaN largest entry is the norm itself.
-            top = entries.max()
-            if top == 0.0 or not math.isfinite(top):
-                return float(top)
-            return float(top * np.sum((entries / top) ** q) ** (1.0 / q))
-        return float(total ** (1.0 / q))
+            top = entries[off].max(axis=1)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                scaled = top * np.sum((entries[off] / top[:, None]) ** q, axis=1) ** (1.0 / q)
+            norm[off] = np.where((top == 0.0) | ~np.isfinite(top), top, scaled)
+        return _shaped(norm, lead)
     if space.kind == "sup":
-        return float(entries.sum())
-    return float(entries.max())
+        return _shaped(entries.sum(axis=1), lead)
+    return _shaped(entries.max(axis=1), lead)
 
 
-def wirtinger_fd_gradient(space: SpaceSpec, z, step: float = 1e-5) -> Covector:
-    """Central finite differences of rho on R^{2n}, recombined as (d/dx - i d/dy)/2.
+def fd_gradient_rows(space: SpaceSpec, z: np.ndarray, step: float = 1e-5) -> np.ndarray:
+    """Central finite differences of rho on R^{2n} at every row of a
+    (rows, dim) array, recombined as (d/dx - i d/dy)/2.
 
     Independent of the closed forms above; only valid where rho is smooth
     across the whole stencil, so keep z well clear of E relative to ``step``.
+    Coordinate i evaluates rho once on the (rows, 4, dim) stencil
+    z +- step e_i, z +- i step e_i.
     """
-    v = _as_vec(z)
-    entries = []
+    offsets = np.array([step, -step, 1j * step, -1j * step])
+    out = np.empty(z.shape, dtype=complex)
     for i in range(space.dim):
-        e = np.zeros(space.dim, dtype=complex)
-        e[i] = step
-        ddx = (rho(space, v + e) - rho(space, v - e)) / (2.0 * step)
-        e[i] = 1j * step
-        ddy = (rho(space, v + e) - rho(space, v - e)) / (2.0 * step)
-        entries.append(0.5 * (ddx - 1j * ddy))
-    return Covector(tuple(entries))
+        stencil = np.repeat(z[:, None, :], 4, axis=1)
+        stencil[:, :, i] += offsets
+        g = rho(space, stencil)
+        ddx = (g[:, 0] - g[:, 1]) / (2.0 * step)
+        ddy = (g[:, 2] - g[:, 3]) / (2.0 * step)
+        out[:, i].real = 0.5 * ddx
+        out[:, i].imag = -0.5 * ddy
+    return out
+
+
+def wirtinger_fd_gradient(space: SpaceSpec, z, step: float = 1e-5) -> Covector:
+    """Finite-difference Wirtinger gradient at z (see ``fd_gradient_rows``)."""
+    return Covector(tuple(fd_gradient_rows(space, _as_vec(z)[None], step)[0].tolist()))
+
+
+# A uniform source for the samplers: draw(rows, start, count) returns the
+# uniforms in (0, 1] with draw indices start .. start + count - 1 of the
+# given rows of the batch, as a (len(rows), count) array.
+
+
+def rng_draws(rng: np.random.Generator):
+    """A uniform source reading ``rng`` in call order."""
+    return lambda rows, start, count: 1.0 - rng.random((len(rows), count))
+
+
+def gaussians(u: np.ndarray) -> np.ndarray:
+    """Complex normals with standard normal real and imaginary parts, from
+    uniform pairs (u[..., 2k], u[..., 2k + 1]) in (0, 1] by Box-Muller."""
+    radius = np.sqrt(-2.0 * np.log(u[..., 0::2]))
+    angle = 2.0 * np.pi * u[..., 1::2]
+    g = np.empty(radius.shape, dtype=complex)
+    g.real = radius * np.cos(angle)
+    g.imag = radius * np.sin(angle)
+    return g
+
+
+def check_radii(rmin: float, rmax: float) -> None:
+    """Gauge radii of sampled points must satisfy 0 < rmin <= rmax < 1, so
+    that the points lie in the open unit ball (NaN and inf fail too)."""
+    if not 0.0 < rmin <= rmax < 1.0:
+        raise ValueError(f"need 0 < rmin <= rmax < 1, got rmin={rmin}, rmax={rmax}")
+
+
+def sphere_rows(
+    space: SpaceSpec, draw, rows: int, start: int = 0, min_gap: float = EXC_EPS
+) -> np.ndarray:
+    """(rows, dim) points on the unit sphere of the gauge, at least min_gap
+    off E.
+
+    Attempt k of a row normalizes the complex Gaussian of its draws
+    start + 2 dim k .. start + 2 dim (k + 1) - 1; a row that lands at the
+    origin or within min_gap of E moves on to its next attempt, so each row
+    depends on its own draws alone.
+    """
+    width = 2 * space.dim
+    out = np.empty((rows, space.dim), dtype=complex)
+    todo = np.arange(rows)
+    for attempt in range(SPHERE_ATTEMPTS):
+        g = gaussians(draw(todo, start + attempt * width, width))
+        r = rho(space, g)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            u = g / r[:, None]
+            ok = (r != 0.0) & (exceptional_distance(space, u) >= min_gap)
+        out[todo[ok]] = u[ok]
+        todo = todo[~ok]
+        if not todo.size:
+            return out
+    raise RuntimeError("sphere sampling kept hitting the exceptional set")
+
+
+def point_rows(
+    space: SpaceSpec,
+    draw,
+    rows: int,
+    start: int = 0,
+    rmin: float = 0.05,
+    rmax: float = 0.95,
+    min_gap: float = EXC_EPS,
+) -> np.ndarray:
+    """(rows, dim) points of the open unit ball with gauge in [rmin, rmax],
+    off E: the radius from draw ``start``, the direction from the draws
+    after it (see ``sphere_rows``)."""
+    check_radii(rmin, rmax)
+    r = rmin + (rmax - rmin) * draw(np.arange(rows), start, 1)[:, 0]
+    # E is a cone, so scaling by r multiplies the gap by r; demanding
+    # min_gap / rmin on the sphere keeps the scaled point min_gap off E.
+    return r[:, None] * sphere_rows(space, draw, rows, start + 1, min_gap / rmin)
 
 
 def sample_direction(space: SpaceSpec, rng: np.random.Generator, min_gap: float = EXC_EPS) -> np.ndarray:
     """Random point on the unit sphere of the gauge, at least min_gap off E."""
-    for _ in range(1000):
-        g = rng.standard_normal(space.dim) + 1j * rng.standard_normal(space.dim)
-        r = rho(space, g)
-        if r == 0.0:
-            continue
-        u = g / r
-        if exceptional_distance(space, u) >= min_gap:
-            return u
-    raise RuntimeError("sphere sampling kept hitting the exceptional set")
+    return sphere_rows(space, rng_draws(rng), 1, min_gap=min_gap)[0]
 
 
 def sample_point(
@@ -243,11 +362,6 @@ def sample_point(
     rmax: float = 0.95,
     min_gap: float = EXC_EPS,
 ) -> np.ndarray:
-    """Random point of the open unit ball with gauge in [rmin, rmax], off E."""
-    if not 0.0 < rmin <= rmax:
-        raise ValueError("need 0 < rmin <= rmax")
-    # E is a cone, so scaling by r multiplies the gap by r; demanding
-    # min_gap / rmin on the sphere keeps the scaled point min_gap off E.
-    u = sample_direction(space, rng, min_gap=min_gap / rmin)
-    r = rng.uniform(rmin, rmax)
-    return r * u
+    """Random point of the open unit ball with gauge in [rmin, rmax], off E;
+    requires 0 < rmin <= rmax < 1."""
+    return point_rows(space, rng_draws(rng), 1, rmin=rmin, rmax=rmax, min_gap=min_gap)[0]

@@ -199,17 +199,18 @@ def _stream_key(seed: int) -> np.ndarray:
             return key
 
 
-def uniforms(seed: int, indices, draws: int) -> np.ndarray:
-    """(len(indices), draws) uniforms in the open interval (0, 1).
+def uniforms(seed: int, indices, draws: int, start: int = 0) -> np.ndarray:
+    """(len(indices), draws) uniforms in the open interval (0, 1): draws
+    start .. start + draws - 1 of each sample.
 
-    Entry [r, j] depends on (seed, indices[r], j) alone, so a sample comes
-    out the same in any batch, order or shard.  Each uniform carries 52
-    random bits, offset by half a step so that neither 0 nor 1 occurs.
+    Entry [r, j] depends on (seed, indices[r], start + j) alone, so a sample
+    comes out the same in any batch, order or shard.  Each uniform carries
+    52 random bits, offset by half a step so that neither 0 nor 1 occurs.
     """
     if seed < 0:
         raise ValueError("seed must be >= 0")
     sample_keys = _mix64(_stream_key(seed) + (np.asarray(indices, dtype=np.uint64) + 1) * _GAMMA)
-    steps = np.arange(1, draws + 1, dtype=np.uint64) * _GAMMA
+    steps = np.arange(start + 1, start + draws + 1, dtype=np.uint64) * _GAMMA
     bits = _mix64(sample_keys[:, None] + steps)
     return ((bits >> 12).astype(np.float64) + 0.5) * 2.0**-52
 

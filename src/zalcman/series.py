@@ -5,11 +5,17 @@ a series is a finite coefficient vector c_0..c_N, with the exponential,
 the quotient (truncated to the shorter operand) and evaluation.
 Coefficient k is the k-th Taylor coefficient of the represented function
 (c_1 = g'(0), c_2 = g''(0)/2, ...).
+
+``series_exp`` and ``series_div`` work on (rows, N + 1) coefficient
+arrays, one series per row; the methods of ``TruncatedSeries`` are
+batch-of-one calls into them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 DEFAULT_ORDER = 7
 
@@ -24,6 +30,40 @@ class NearSingularDivision(ArithmeticError):
 
 class NonzeroConstantTerm(ValueError):
     """Series exponential of a series whose constant term is not exactly 0."""
+
+
+def series_exp(a: np.ndarray) -> np.ndarray:
+    """Exponential of every row of a (rows, N + 1) coefficient array whose
+    constant terms are 0 (not checked here).
+
+    Computed from e' = a'*e coefficientwise: n e_n = sum_k k a_k e_{n-k},
+    which is exact at the truncation order and costs O(N^2).
+    """
+    ka = a * np.arange(a.shape[1])
+    e = np.zeros(ka.shape, dtype=complex)
+    e[:, 0] = 1.0
+    for m in range(1, a.shape[1]):
+        e[:, m] = (ka[:, 1 : m + 1] * e[:, m - 1 :: -1]).sum(axis=1) / m
+    return e
+
+
+def series_div(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise quotients q with q*b == a up to the common order.
+
+    Requires every |b_0| > DIV_EPS; solved by the forward recurrence
+    q_k = (a_k - sum_{j=1..k} b_j q_{k-j}) / b_0.
+    """
+    b0 = b[:, 0]
+    small = np.hypot(b0.real, b0.imag) <= DIV_EPS
+    if small.any():
+        raise NearSingularDivision(
+            f"denominator constant term {complex(b0[small][0])!r} has modulus <= {DIV_EPS}"
+        )
+    q = np.zeros((len(a), min(a.shape[1], b.shape[1])), dtype=complex)
+    q[:, 0] = a[:, 0] / b0
+    for k in range(1, q.shape[1]):
+        q[:, k] = (a[:, k] - (b[:, 1 : k + 1] * q[:, k - 1 :: -1]).sum(axis=1)) / b0
+    return q
 
 
 @dataclass(frozen=True)
@@ -46,43 +86,17 @@ class TruncatedSeries:
         return len(self.coeffs) - 1
 
     def __truediv__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        """Series quotient q with q*other == self up to the common order.
-
-        Requires |other_0| > DIV_EPS; solved by the forward recurrence
-        q_k = (a_k - sum_{j=1..k} b_j q_{k-j}) / b_0.
-        """
-        b0 = other.coeffs[0]
-        if abs(b0) <= DIV_EPS:
-            raise NearSingularDivision(
-                f"denominator constant term {b0!r} has modulus <= {DIV_EPS}"
-            )
-        n = min(self.order, other.order)
-        a, b = self.coeffs, other.coeffs
-        q: list[complex] = []
-        for k in range(n + 1):
-            acc = a[k]
-            for j in range(1, k + 1):
-                acc -= b[j] * q[k - j]
-            q.append(acc / b0)
-        return TruncatedSeries(tuple(q))
+        """Series quotient q with q*other == self up to the common order
+        (``series_div``); requires |other_0| > DIV_EPS."""
+        q = series_div(np.array([self.coeffs]), np.array([other.coeffs]))
+        return TruncatedSeries(tuple(q[0].tolist()))
 
     def exp(self) -> "TruncatedSeries":
-        """Series exponential; the constant term must be exactly 0.
-
-        Computed from e' = a'*e coefficientwise: n e_n = sum_k k a_k e_{n-k},
-        which is exact at the truncation order and costs O(N^2).
-        """
-        a = self.coeffs
-        if a[0] != 0:
-            raise NonzeroConstantTerm(f"exp needs constant term 0, got {a[0]!r}")
-        n = self.order
-        e: list[complex] = [1 + 0j]
-        for m in range(1, n + 1):
-            acc = 0j
-            for k in range(1, m + 1):
-                acc += k * a[k] * e[m - k]
-            e.append(acc / m)
-        return TruncatedSeries(tuple(e))
+        """Series exponential (``series_exp``); the constant term must be
+        exactly 0."""
+        if self.coeffs[0] != 0:
+            raise NonzeroConstantTerm(f"exp needs constant term 0, got {self.coeffs[0]!r}")
+        return TruncatedSeries(tuple(series_exp(np.array([self.coeffs]))[0].tolist()))
 
     def eval(self, zeta: complex) -> complex:
         """Horner evaluation of the truncated polynomial at ``zeta``."""

@@ -26,23 +26,20 @@ from zalcman import (
     l1_space,
     make_extremal_ball,
     make_extremal_domain,
-    minkowski_gradient,
-    reduction_crosscheck,
     rho,
     run_campaign,
-    sample_direction,
     sample_lifted_spec,
     sample_measure,
-    sample_point,
     search_extremal,
     starlikeness_scan,
     sup_space,
-    wirtinger_fd_gradient,
     zalcman_J,
     zalcman_nd,
 )
-from zalcman.campaigns import subseed
+from zalcman import campaigns
+from zalcman.campaigns import space_of, subseed
 from zalcman.herglotz import batch_margins, sample_blocks
+from zalcman.mappings import reduction_rows
 from zalcman.starlike import zalcman_values
 
 SEED = 20260814
@@ -189,53 +186,62 @@ def test_criterion_5_domain_bound_and_extremal_values():
     )
 
 
+def _campaign_rows(cfg: CampaignConfig) -> np.ndarray:
+    """The normalized residual columns behind a reduction or gradients
+    report: the campaign's own blocks through its own kernel."""
+    space = space_of(cfg)
+    if cfg.campaign == "gradients":
+        blocks = [campaigns._gradient_rows(cfg, space, idx)[1] for idx in campaigns._index_blocks(cfg, space)]
+    else:
+        blocks = [
+            np.stack([red / campaigns.REDUCTION_TOL, dual / campaigns.DUAL_PATH_TOL], axis=1)
+            for red, dual in (reduction_rows(space, *b) for b in campaigns._lifted_blocks(cfg, space))
+        ]
+    return np.concatenate(blocks)
+
+
+def _identity_campaigns(campaign: str, families, samples: int):
+    """Reports of an identity campaign over (dim, norm) families, and the
+    per-check maxima of its residual rows (each over its tolerance)."""
+    reports, worst = [], None
+    for dim, norm in families:
+        cfg = CampaignConfig(campaign, seed=SEED, samples=samples, dim=dim, norm=norm)
+        reports.append(run_campaign(cfg))
+        rows = _campaign_rows(cfg)
+        assert rows.max() == reports[-1].max_value
+        worst = rows.max(axis=0) if worst is None else np.maximum(worst, rows.max(axis=0))
+    total = sum(r.samples for r in reports)
+    max_value = max(r.max_value for r in reports)
+    clean = all(r.passed for r in reports)
+    return total, max_value, clean, worst.tolist()
+
+
 def test_criterion_6_reduction_identity():
-    worst = 0.0
-    count = 0
-    families = (euclidean(2), lp_space(3, 3.0), sup_space(2), l1_space(3))
-    for fam, space in enumerate(families):
-        rng = np.random.default_rng(subseed(SEED, 600 + fam))
-        for _ in range(250):
-            spec = sample_lifted_spec(space, rng)
-            z = sample_point(space, rng, min_gap=1e-3)
-            worst = max(worst, reduction_crosscheck(space, spec, z))
-            count += 1
-    ok = worst <= 1e-10
+    families = ((2, "l2"), (3, "lp:3"), (2, "sup"), (3, "l1"))
+    total, max_value, clean, (red, dual) = _identity_campaigns("reduction", families, 250)
+    red, dual = red * campaigns.REDUCTION_TOL, dual * campaigns.DUAL_PATH_TOL
+    # max_value <= 1 is every residual within its own tolerance.
+    ok = clean and total == 1000 and max_value <= 1.0
     report(
         6,
         ok,
-        f"reduction identity residual max = {worst:.3e} <= 1e-10 over {count} points "
-        "(all four gauge families)",
+        f"reduction identity residual max = {red:.3e} <= 1e-10 and closed-form vs pairing/"
+        f"gradient routes = {dual:.3e} <= 1e-12 over {total} points (all four gauge families)",
     )
 
 
 def test_criterion_7_gauge_gradient_identities():
-    euler_max = cov_max = fd_max = 0.0
-    for space in (euclidean(3), lp_space(3, 3.0), sup_space(3), l1_space(3)):
-        rng = np.random.default_rng(subseed(SEED, 7))
-        for _ in range(1000):
-            z = sample_direction(space, rng, min_gap=0.05)
-            grad = minkowski_gradient(space, z)
-            euler_max = max(euler_max, abs(2.0 * grad(z) - rho(space, z)))
-            half = minkowski_gradient(space, 0.5 * z).entries
-            ph = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
-            rot = minkowski_gradient(space, ph * z).entries
-            cov_max = max(
-                cov_max,
-                max(abs(a - b) for a, b in zip(half, grad.entries)),
-                max(abs(a - np.conj(ph) * b) for a, b in zip(rot, grad.entries)),
-            )
-            fd = wirtinger_fd_gradient(space, z).entries
-            scale = max(abs(b) for b in grad.entries)
-            fd_max = max(
-                fd_max, max(abs(a - b) for a, b in zip(fd, grad.entries)) / scale
-            )
-    ok = euler_max <= 1e-12 and cov_max <= 1e-12 and fd_max <= 1e-6
+    families = ((3, "l2"), (3, "lp:3"), (3, "sup"), (3, "l1"))
+    total, max_value, clean, (euler, scale, phase, fd) = _identity_campaigns("gradients", families, 1000)
+    euler *= campaigns.EULER_TOL
+    cov = max(scale, phase) * campaigns.GRAD_COVARIANCE_TOL
+    fd *= campaigns.GRAD_FD_TOL
+    ok = clean and total == 4000 and max_value <= 1.0
     report(
         7,
         ok,
-        f"Euler residual = {euler_max:.3e} <= 1e-12; scale/phase covariance = "
-        f"{cov_max:.3e} <= 1e-12; FD relative error = {fd_max:.3e} <= 1e-6 "
+        f"Euler residual = {euler:.3e} <= 1e-12; scale/phase covariance = "
+        f"{cov:.3e} <= 1e-12; FD relative error = {fd:.3e} <= 1e-6 "
         "(1000 points x 4 families)",
     )
 

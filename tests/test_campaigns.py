@@ -7,7 +7,6 @@ import pytest
 
 from zalcman import (
     CampaignConfig,
-    Covector,
     HerglotzMeasure,
     LiftedMapSpec,
     UsageError,
@@ -17,7 +16,7 @@ from zalcman import (
     run_campaign,
     zalcman_J,
 )
-from zalcman import campaigns
+from zalcman import campaigns, mappings
 from zalcman.campaigns import REPORT_VERSION, emit_report, space_of, subseed
 from zalcman.cli import build_parser, main
 
@@ -269,24 +268,27 @@ def _reject_constant(token):
     raise ValueError(f"non-standard JSON constant {token}")
 
 
-def _poison_call(monkeypatch, name, poison, call):
-    """Make call number ``call`` of ``campaigns.<name>`` return poison(result)."""
-    real = getattr(campaigns, name)
+def _poison_call(monkeypatch, module, name, poison, call):
+    """Make call number ``call`` of ``module.<name>`` return poison(result)."""
+    real = getattr(module, name)
     calls = itertools.count()
 
     def patched(*args, **kwargs):
         out = real(*args, **kwargs)
         return poison(out) if next(calls) == call else out
 
-    monkeypatch.setattr(campaigns, name, patched)
+    monkeypatch.setattr(module, name, patched)
 
 
-def _nan_zalcman(fv):
-    return dataclasses.replace(fv, zalcman=math.nan)
+def _nan_value_of_row_2(out):
+    values, zalcman = out
+    zalcman[2] = math.nan
+    return values, zalcman
 
 
-def _nan_second_entry(cov):
-    return Covector((cov.entries[0], math.nan) + cov.entries[2:])
+def _nan_entry_1_of_row_2(rows):
+    rows[2, 1] = math.nan
+    return rows
 
 
 def _nan_a3(out):
@@ -294,18 +296,24 @@ def _nan_a3(out):
     return (a2, math.nan, a4), zalc
 
 
-# (config, patched value source, poison, poisoned call, row it lands in).
-# The NaN sits after a finite value where it can, since max() skips such a
-# NaN; functional_B runs three times per reduction row, k = 3 is the second.
+# (config, module and batch kernel patched, poison, poisoned call, row it
+# lands in).  The batched campaigns evaluate all five rows in one call, so
+# the poison lands in row 2 of that call's output; the witness replay calls
+# the kernel again, unpoisoned.  The NaN sits after a finite value where it
+# can, since max() skips such a NaN: entry 1 of the finite-difference
+# gradient, and k = 3 of the gradient route (the second pairing_rows call
+# of a reduction block; the first is the support-pairing route).
 NAN_CASES = [
-    (small("ball", samples=5, dim=2, norm="l2"), "zalcman_nd", _nan_zalcman, 2, 2),
-    (small("domain", samples=5, dim=3, norm="sup"), "zalcman_nd", _nan_zalcman, 2, 2),
-    (small("gradients", samples=5, dim=2, norm="lp:3"), "wirtinger_fd_gradient",
-     _nan_second_entry, 2, 2),
-    (small("reduction", samples=5, dim=2, norm="l1"), "functional_B",
-     lambda b: math.nan, 3 * 2 + 1, 2),
-    (small("sharpness", dim=2, norm="l1"), "closed_form_values", _nan_a3, 0, 1),
-    (small("search", budget=300), "search_extremal",
+    (small("ball", samples=5, dim=2, norm="l2"), campaigns, "zalcman_rows",
+     _nan_value_of_row_2, 0, 2),
+    (small("domain", samples=5, dim=3, norm="sup"), campaigns, "zalcman_rows",
+     _nan_value_of_row_2, 0, 2),
+    (small("gradients", samples=5, dim=2, norm="lp:3"), campaigns, "fd_gradient_rows",
+     _nan_entry_1_of_row_2, 0, 2),
+    (small("reduction", samples=5, dim=2, norm="l1"), mappings, "pairing_rows",
+     _nan_entry_1_of_row_2, 1, 2),
+    (small("sharpness", dim=2, norm="l1"), campaigns, "closed_form_values", _nan_a3, 0, 1),
+    (small("search", budget=300), campaigns, "search_extremal",
      lambda result: result._replace(value=math.nan), 0, 0),
 ]
 
@@ -317,15 +325,16 @@ def _argv(cfg):
             "--dim", str(cfg.dim), "--norm", cfg.norm]
 
 
-@pytest.mark.parametrize("cfg, name, poison, call, row", NAN_CASES,
+@pytest.mark.parametrize("cfg, module, name, poison, call, row", NAN_CASES,
                          ids=[case[0].campaign for case in NAN_CASES])
-def test_a_nan_row_fails_the_report(cfg, name, poison, call, row, monkeypatch, tmp_path, capsys):
-    _poison_call(monkeypatch, name, poison, call)
+def test_a_nan_row_fails_the_report(cfg, module, name, poison, call, row, monkeypatch,
+                                    tmp_path, capsys):
+    _poison_call(monkeypatch, module, name, poison, call)
     rep = run_campaign(cfg)
     assert not rep.passed
     assert [w["index"] for w in rep.violations] == [row]
 
-    _poison_call(monkeypatch, name, poison, call)
+    _poison_call(monkeypatch, module, name, poison, call)
     target = tmp_path / "report.json"
     assert main(_argv(cfg) + ["--out", str(target)]) == 1
     obj = json.loads(target.read_text(), parse_constant=_reject_constant)

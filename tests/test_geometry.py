@@ -196,3 +196,10 @@ def test_sample_point_validates_radii():
         sample_point(euclidean(2), np.random.default_rng(0), rmin=0.0)
     with pytest.raises(ValueError):
         sample_point(euclidean(2), np.random.default_rng(0), rmin=0.5, rmax=0.2)
+    # Points must stay in the open unit ball: rmax < 1, all radii finite.
+    for rmin, rmax in ((1.2, 1.4), (0.5, 1.0), (0.5, math.inf), (math.nan, 0.5),
+                       (0.5, math.nan), (-math.inf, 0.5)):
+        with pytest.raises(ValueError):
+            sample_point(euclidean(2), np.random.default_rng(0), rmin=rmin, rmax=rmax)
+    z = sample_point(euclidean(2), np.random.default_rng(0), rmin=0.9, rmax=0.999)
+    assert 0.9 <= rho(euclidean(2), z) <= 0.999

@@ -1,0 +1,246 @@
+"""The batched several-variables kernels against their batch-of-one views.
+
+ball, domain, gradients and reduction draw sample i from the counter-based
+stream and evaluate whole blocks of rows; a witness is only trustworthy if
+the scalar entry points rebuild and re-evaluate its row exactly, so these
+checks use ==, never isclose.
+"""
+
+import numpy as np
+import pytest
+
+from zalcman import (
+    CampaignConfig,
+    LiftedMapSpec,
+    dual_norm,
+    exceptional_distance,
+    hom_parts,
+    minkowski_gradient,
+    reduction_crosscheck,
+    restrict_h,
+    rho,
+    run_campaign,
+    support_covector,
+    wirtinger_fd_gradient,
+    zalcman_nd,
+)
+from zalcman import campaigns, mappings
+from zalcman.campaigns import space_of
+from zalcman.geometry import fd_gradient_rows, gaussians, gradient_rows, support_rows
+from zalcman.herglotz import SAMPLE_BLOCK, uniforms
+from zalcman.mappings import SPEC_ATOMS, closed_form_values, hom_rows, reduction_rows, zalcman_rows
+
+NORMS = ("l2", "lp:3", "lp:1.5", "sup", "l1")
+DIMS = (2, 3, 5)
+ROWS = 24
+CONFIGS = [(norm, dim) for norm in NORMS for dim in DIMS]
+
+
+def config(campaign, norm, dim, samples=ROWS, seed=5):
+    return CampaignConfig(campaign, seed=seed, samples=samples, dim=dim, norm=norm)
+
+
+def reduction_value(red, dual):
+    return max(red / campaigns.REDUCTION_TOL, dual / campaigns.DUAL_PATH_TOL)
+
+
+@pytest.mark.parametrize("norm, dim", CONFIGS, ids=[f"{n}-C{d}" for n, d in CONFIGS])
+def test_lifted_rows_equal_their_batch_of_one_replay(norm, dim):
+    cfg = config("ball", norm, dim)
+    space = space_of(cfg)
+    lams, covs, counts, z = campaigns._lifted_rows(cfg, space, np.arange(ROWS))
+    gauges, gaps = rho(space, z), exceptional_distance(space, z)
+    support = support_rows(space, z, gauges)
+    f = hom_rows(lams, covs, z, 3)
+    routes = {
+        (mode, method): zalcman_rows(space, lams, covs, z, mode, method)
+        for mode, method in (("ball", "closed"), ("domain", "closed"),
+                             ("ball", "pairing"), ("domain", "gradient"))
+    }
+    red, dual = reduction_rows(space, lams, covs, z)
+    norms = dual_norm(space, covs)
+    reports = {c: run_campaign(config(c, norm, dim)) for c in ("ball", "domain", "reduction")}
+    for i in range(ROWS):
+        spec, zi = campaigns._lifted_sample(cfg, space, i)
+        assert spec == LiftedMapSpec.from_row(lams[i, : counts[i]], covs[i, : counts[i]])
+        assert zi.tolist() == z[i].tolist()
+        assert (rho(space, zi), exceptional_distance(space, zi)) == (gauges[i], gaps[i])
+        assert support_covector(space, zi).entries == tuple(support[i].tolist())
+        assert [dual_norm(space, b) for _, b in spec.atoms] == norms[i, : counts[i]].tolist()
+        assert hom_parts(spec, zi, 3) == f[i].tolist()
+        for (mode, method), (vals, value) in routes.items():
+            fv = zalcman_nd(space, spec, zi, mode, method)
+            assert fv.values == tuple(vals[i].tolist())
+            assert fv.zalcman == value[i]
+        closed = closed_form_values(spec, zi, rho(space, zi))
+        assert closed == (tuple(routes["ball", "closed"][0][i].tolist()), routes["ball", "closed"][1][i])
+        assert reduction_crosscheck(space, spec, zi) == red[i]
+        assert reports["ball"].rows[i][1] == routes["ball", "closed"][1][i]
+        assert reports["domain"].rows[i][1] == routes["domain", "closed"][1][i]
+        assert reports["reduction"].rows[i][1] == reduction_value(red[i], dual[i])
+
+
+@pytest.mark.parametrize("norm, dim", CONFIGS, ids=[f"{n}-C{d}" for n, d in CONFIGS])
+def test_gradient_rows_equal_their_batch_of_one_replay(norm, dim):
+    cfg = config("gradients", norm, dim)
+    space = space_of(cfg)
+    z, residuals = campaigns._gradient_rows(cfg, space, np.arange(ROWS))
+    grad, fd = gradient_rows(space, z), fd_gradient_rows(space, z)
+    rows = run_campaign(cfg).rows
+    for i in range(ROWS):
+        zi, replay = campaigns._gradient_sample(cfg, space, i)
+        assert zi.tolist() == z[i].tolist()
+        assert list(replay) == list(campaigns.GRADIENT_CHECKS)
+        assert list(replay.values()) == residuals[i].tolist()
+        assert minkowski_gradient(space, zi).entries == tuple(grad[i].tolist())
+        assert wirtinger_fd_gradient(space, zi).entries == tuple(fd[i].tolist())
+        assert rows[i][1] == max(replay.values())
+
+
+def test_sampled_maps_and_points_keep_their_contracts():
+    cfg = config("ball", "l1", 3, samples=2000)
+    space = space_of(cfg)
+    lams, covs, counts, z = campaigns._lifted_rows(cfg, space, np.arange(cfg.samples))
+    assert set(counts.tolist()) == set(range(1, SPEC_ATOMS + 1))
+    live = np.arange(SPEC_ATOMS) < counts[:, None]
+    assert (lams[live] > 0).all() and (lams[~live] == 0).all() and (covs[~live] == 0).all()
+    assert np.abs(lams.sum(axis=1) - 1.0).max() < 1e-12
+    norms = dual_norm(space, covs)[live]
+    assert norms.min() >= 0.25 - 1e-12 and norms.max() <= 1.0 + 1e-12
+    gauges = rho(space, z)
+    assert gauges.min() >= 0.05 and gauges.max() <= 0.95
+    assert exceptional_distance(space, z).min() >= 1e-8
+    # Box-Muller normals: standard real and imaginary parts.
+    g = gaussians(uniforms(3, np.arange(20_000), 2))[:, 0]
+    for part in (g.real, g.imag):
+        assert abs(part.mean()) < 0.03 and abs(part.std() - 1.0) < 0.03
+
+
+@pytest.mark.parametrize("campaign", ["ball", "domain", "gradients", "reduction"])
+def test_a_run_is_a_prefix_of_a_longer_run(campaign):
+    for norm, dim in (("lp:1.5", 2), ("sup", 3), ("l1", 5)):
+        short = run_campaign(config(campaign, norm, dim, samples=40))
+        longer = run_campaign(config(campaign, norm, dim, samples=80))
+        assert longer.rows[:40] == short.rows
+
+
+def test_shuffled_indices_give_the_same_rows():
+    order = np.random.default_rng(0).permutation(60)
+    for norm, dim in (("l2", 2), ("sup", 3), ("l1", 5)):
+        cfg = config("ball", norm, dim, samples=60)
+        space = space_of(cfg)
+        straight = campaigns._lifted_rows(cfg, space, np.arange(60))
+        shuffled = campaigns._lifted_rows(cfg, space, order)
+        for a, b in zip(straight, shuffled):
+            assert np.array_equal(a[order], b)
+        z, residuals = campaigns._gradient_rows(cfg, space, np.arange(60))
+        zs, residuals_s = campaigns._gradient_rows(cfg, space, order)
+        assert np.array_equal(z[order], zs) and np.array_equal(residuals[order], residuals_s)
+
+
+def test_a_row_after_a_rejected_attempt_replays_identically():
+    # On the l1 sphere of C^5 the gradients campaign's 0.05 gap rejects
+    # many first attempts; such a row takes its point from later draws.
+    cfg = config("gradients", "l1", 5, samples=40)
+    space = space_of(cfg)
+    z, residuals = campaigns._gradient_rows(cfg, space, np.arange(40))
+    first = gaussians(uniforms(cfg.seed, np.arange(40), 2 * space.dim, start=1))
+    first = first / rho(space, first)[:, None]
+    rejected = np.flatnonzero(exceptional_distance(space, first) < campaigns.GRAD_MIN_GAP)
+    assert rejected.size
+    for i in rejected.tolist():
+        assert not np.array_equal(z[i], first[i])
+        zi, replay = campaigns._gradient_sample(cfg, space, i)
+        assert zi.tolist() == z[i].tolist()
+        assert list(replay.values()) == residuals[i].tolist()
+
+
+def test_witnesses_past_the_first_block_carry_their_own_index(monkeypatch):
+    # Blocks of 8 rows, and nearly every row a violation: tolerances far
+    # below the residuals (a residual can be exactly 0), and bound values
+    # lifted past 2.
+    monkeypatch.setattr(campaigns, "LIFTED_BLOCK_ENTRIES", 8 * 3)
+    monkeypatch.setattr(campaigns, "GRAD_FD_TOL", 1e-300)
+    monkeypatch.setattr(campaigns, "REDUCTION_TOL", 1e-300)
+    real = campaigns.zalcman_rows
+    monkeypatch.setattr(campaigns, "zalcman_rows", lambda *a: (real(*a)[0], real(*a)[1] + 3.0))
+    for campaign in ("ball", "domain", "gradients", "reduction"):
+        cfg = config(campaign, "sup", 3, samples=30)
+        space = space_of(cfg)
+        rep = run_campaign(cfg)
+        flagged = [i for i, _, margin in rep.rows if not margin >= -cfg.tolerance]
+        assert [w["index"] for w in rep.violations] == flagged
+        assert len([i for i in flagged if i >= 8]) >= 15
+        if campaign == "gradients":
+            z, _ = campaigns._gradient_rows(cfg, space, np.arange(30))
+        else:
+            lams, covs, counts, z = campaigns._lifted_rows(cfg, space, np.arange(30))
+        for w in rep.violations:
+            i = w["index"]
+            assert w["z"] == [[c.real, c.imag] for c in z[i].tolist()]
+            if campaign != "gradients":
+                spec = LiftedMapSpec.from_row(lams[i, : counts[i]], covs[i, : counts[i]])
+                assert w["spec"] == spec.to_json()
+
+
+def test_lifted_witnesses_replay_their_values():
+    # Tolerances tightened until every row is a witness; each must rebuild
+    # its value or residuals from (seed, index) alone.
+    tight = dict(GRAD_FD_TOL=1e-300, REDUCTION_TOL=1e-300)
+    for campaign in ("gradients", "reduction"):
+        cfg = config(campaign, "lp:1.5", 3, samples=20)
+        with pytest.MonkeyPatch.context() as mp:
+            for name, value in tight.items():
+                mp.setattr(campaigns, name, value)
+            rep = run_campaign(cfg)
+            assert len(rep.violations) >= 15
+            space = space_of(cfg)
+            for w in rep.violations:
+                if campaign == "gradients":
+                    assert campaigns._gradient_sample(cfg, space, w["index"])[1] == w["residuals"]
+                else:
+                    spec = LiftedMapSpec.from_json(w["spec"])
+                    z = np.array([complex(*c) for c in w["z"]])
+                    red, dual = reduction_rows(space, *spec.padded(), z[None])
+                    assert (red[0], dual[0]) == (w["reduction_residual"], w["dual_path_residual"])
+                    assert reduction_crosscheck(space, spec, z) == w["reduction_residual"]
+    for campaign in ("ball", "domain"):
+        cfg = config(campaign, "sup", 3, samples=30)
+        rep = run_campaign(cfg)
+        i = max(range(30), key=lambda k: rep.rows[k][1])
+        spec, z = campaigns._lifted_sample(cfg, space_of(cfg), i)
+        assert zalcman_nd(space_of(cfg), spec, z, mode=campaign).zalcman == rep.max_value
+
+
+def test_homogeneous_parts_are_evaluated_once_per_reduction_row(monkeypatch):
+    calls = []
+    real = mappings.hom_rows
+
+    def counting(lams, covs, z, upto):
+        calls.append((len(z), upto))
+        return real(lams, covs, z, upto)
+
+    monkeypatch.setattr(mappings, "hom_rows", counting)
+    rep = run_campaign(config("reduction", "lp:1.5", 2, samples=40))
+    assert rep.passed
+    assert calls == [(40, 3)]
+
+
+def test_blocks_never_exceed_the_sample_count_or_sample_block():
+    for samples, dim in ((7, 3), (SAMPLE_BLOCK + 5, 2)):
+        cfg = config("ball", "l2", dim, samples=samples)
+        sizes = [len(idx) for idx in campaigns._index_blocks(cfg, space_of(cfg))]
+        assert sum(sizes) == samples and max(sizes) <= min(samples, SAMPLE_BLOCK)
+    cfg = config("ball", "l2", 100, samples=3000)
+    sizes = [len(idx) for idx in campaigns._index_blocks(cfg, space_of(cfg))]
+    assert max(sizes) * 100 <= campaigns.LIFTED_BLOCK_ENTRIES
+
+
+def test_restrict_h_is_the_quotient_of_the_homogeneous_parts():
+    cfg = config("ball", "lp:3", 3)
+    space = space_of(cfg)
+    spec, z = campaigns._lifted_sample(cfg, space, 4)
+    z0 = z / rho(space, z)
+    h = restrict_h(spec, z0)
+    assert h.coeffs == tuple(mappings.h_rows(np.array([hom_parts(spec, z0, 6)]))[0].tolist())
+    assert h.coeffs[0] == 1

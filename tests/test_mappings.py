@@ -68,6 +68,18 @@ def test_spec_validation():
         obj = json.loads(f'{{"atoms": [{{"lambda": {token}, "b": [[1.0, 0.0], [0.0, 0.0]]}}]}}')
         with pytest.raises(ValueError):
             LiftedMapSpec.from_json(obj)
+    # Non-finite covector entries are rejected by the same check as the
+    # sampler's batch rows, before any gauge is involved.
+    for entry in (math.nan, math.inf, -math.inf, complex(0.0, math.nan), complex(0.0, -math.inf)):
+        with pytest.raises(ValueError, match="covector entries"):
+            LiftedMapSpec(((1.0, Covector((0.5, entry))),))
+        with pytest.raises(ValueError, match="covector entries"):
+            LiftedMapSpec(((0.5, Covector((0.5, 0.0))), (0.5, Covector((entry, 0.0)))))
+    for bad in ('[[Infinity, 0.0], [0.0, 0.0]]', '[[NaN, 0.0], [0.0, 0.0]]',
+                '[[0.5, 0.0], [0.0, -Infinity]]'):
+        obj = json.loads(f'{{"atoms": [{{"lambda": 1.0, "b": {bad}}}]}}')
+        with pytest.raises(ValueError, match="covector entries"):
+            LiftedMapSpec.from_json(obj)
 
 
 def test_validate_for_checks_dual_norms():
@@ -75,11 +87,13 @@ def test_validate_for_checks_dual_norms():
     spec.validate_for(l1_space(2))  # dual norm is max |b_i| = 1: allowed
     with pytest.raises(ValueError):
         spec.validate_for(sup_space(2))  # dual norm is sum |b_i| = 2: rejected
+    # Non-finite entries are now rejected by from_json itself, before the
+    # dual-norm check (see test_spec_validation).
     for bad in ('[[Infinity, 0.0], [0.0, 0.0]]', '[[NaN, 0.0], [0.0, 0.0]]'):
-        spec = LiftedMapSpec.from_json(json.loads(f'{{"atoms": [{{"lambda": 1.0, "b": {bad}}}]}}'))
+        obj = json.loads(f'{{"atoms": [{{"lambda": 1.0, "b": {bad}}}]}}')
         for space in (euclidean(2), lp_space(2, 3.0), sup_space(2), l1_space(2)):
             with pytest.raises(ValueError):
-                spec.validate_for(space)
+                LiftedMapSpec.from_json(obj).validate_for(space)
 
 
 def test_json_roundtrip_is_exact():
@@ -326,6 +340,10 @@ def test_scan_of_the_trivial_spec_is_flat():
 def test_grid_spec_validation():
     with pytest.raises(ValueError):
         GridSpec(directions=0)
+    # The zeta-grid must lie in the open unit disk.
+    for rmin, rmax in ((0.05, 1.5), (0.05, 1.0), (0.0, 0.5), (0.6, 0.5), (math.nan, 0.5)):
+        with pytest.raises(ValueError):
+            GridSpec(rmin=rmin, rmax=rmax)
 
 
 def test_make_extremal_ball_contracts():

@@ -37,6 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import (
+    SamplingError,
     SpaceSpec,
     fd_gradient_rows,
     gradient_rows,
@@ -68,7 +69,9 @@ DEFAULT_TOLERANCE = 1e-9
 # samples from the counter-based stream, and JSON reports carry this key.
 # 3: so do ball, domain, gradients and reduction, and sharpness evaluates
 # through the batched several-variables kernels (its values move by ulps).
-REPORT_VERSION = 3
+# 4: the search draws its starts from the counter stream and ranks its
+# candidates through the batched kernel.
+REPORT_VERSION = 4
 
 # Per-check residual tolerances for the identity campaigns; margins are
 # reported as 1 - residual/tolerance so the pass criterion is uniform.
@@ -443,10 +446,27 @@ def _validate(cfg: CampaignConfig) -> SpaceSpec | None:
         if cfg.dim < 2:
             raise UsageError(f"campaign {cfg.campaign!r} needs dim >= 2")
         try:
-            return space_of(cfg)
+            space = space_of(cfg)
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
+        if cfg.campaign == "gradients":
+            _check_gap_reachable(space, GRAD_MIN_GAP)
+        return space
     return None
+
+
+def _check_gap_reachable(space: SpaceSpec, gap: float) -> None:
+    """Raise UsageError when no point of the unit sphere is ``gap`` off E.
+
+    On l1 and lp with p < 2, E is where a coordinate vanishes, and the
+    smallest coordinate modulus of a unit vector is at most dim^(-1/p).
+    """
+    p = 1.0 if space.kind == "l1" else space.p
+    if p is not None and p < 2.0 and space.dim ** (-1.0 / p) <= gap:
+        raise UsageError(
+            f"no point of the unit sphere of the {space.kind} gauge in C^{space.dim} "
+            f"is {gap:g} off its non-smooth set; lower --dim"
+        )
 
 
 def run_campaign(cfg: CampaignConfig) -> CampaignReport:
@@ -454,7 +474,10 @@ def run_campaign(cfg: CampaignConfig) -> CampaignReport:
     pure function of the config."""
     space = _validate(cfg)
     start = time.perf_counter()
-    values, margins, witness, bound, extras = _RUNNERS[cfg.campaign](cfg, space)
+    try:
+        values, margins, witness, bound, extras = _RUNNERS[cfg.campaign](cfg, space)
+    except SamplingError as exc:
+        raise UsageError(f"{exc}; lower --dim") from exc
     values = np.asarray(values, dtype=float)
     margins = np.asarray(margins, dtype=float)
     violations = [witness(int(i)) for i in violation_rows(margins, cfg.tolerance)]

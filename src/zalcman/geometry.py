@@ -44,6 +44,10 @@ class ExceptionalPoint(ValueError):
     """Evaluation at or too near the non-smooth set E of the gauge."""
 
 
+class SamplingError(RuntimeError):
+    """A sampled row kept landing at the origin or near E."""
+
+
 class InvalidDirection(ValueError):
     """Direction vector expected on the unit sphere of the gauge."""
 
@@ -328,7 +332,10 @@ def sphere_rows(
         todo = todo[~ok]
         if not todo.size:
             return out
-    raise RuntimeError("sphere sampling kept hitting the exceptional set")
+    raise SamplingError(
+        f"sphere sampling kept landing within {min_gap:g} of the exceptional set "
+        f"({SPHERE_ATTEMPTS} attempts)"
+    )
 
 
 def point_rows(

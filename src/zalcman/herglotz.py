@@ -231,11 +231,22 @@ def sample_batch(
     u = uniforms(seed, indices, SAMPLE_DRAWS)
     # u < 1, but u * max_atoms can still round up to max_atoms.
     count = np.minimum((u[:, 0] * max_atoms).astype(np.int64), max_atoms - 1) + 1
-    live = np.arange(MAX_ATOMS) < count[:, None]
-    raw = np.where(live, -np.log(u[:, 1 : 1 + MAX_ATOMS]), 0.0)
-    weights = raw / raw.sum(axis=1, keepdims=True)
-    angles = np.where(live, 2.0 * np.pi * u[:, 1 + MAX_ATOMS :], 0.0)
+    weights, angles = atom_rows(u[:, 1:], count)
     check_atoms(weights, angles)
+    return weights, angles
+
+
+def atom_rows(u: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Padded (weights, angles) of the measures given by rows of uniforms.
+
+    Row r has ``count[r]`` atoms: weights the normalized exponentials -log u
+    of columns 0..MAX_ATOMS-1, angles 2 pi u of the next MAX_ATOMS columns;
+    the remaining atoms are padding with weight 0 and angle 0.
+    """
+    live = np.arange(MAX_ATOMS) < count[:, None]
+    raw = np.where(live, -np.log(u[:, :MAX_ATOMS]), 0.0)
+    weights = raw / raw.sum(axis=1, keepdims=True)
+    angles = np.where(live, 2.0 * np.pi * u[:, MAX_ATOMS : 2 * MAX_ATOMS], 0.0)
     return weights, angles
 
 

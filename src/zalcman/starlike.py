@@ -13,13 +13,20 @@ equality exactly at rotations of the Koebe function z/(1-z)^2.
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .herglotz import MAX_ATOMS, HerglotzMeasure, batch_moments, modulus
+from .herglotz import (
+    MAX_ATOMS,
+    SAMPLE_DRAWS,
+    HerglotzMeasure,
+    atom_rows,
+    batch_moments,
+    modulus,
+    uniforms,
+)
 from .series import DEFAULT_ORDER, TruncatedSeries
 
 MAX_COEFF_ORDER = DEFAULT_ORDER
@@ -28,6 +35,11 @@ MAX_COEFF_ORDER = DEFAULT_ORDER
 SEARCH_STEP_START = 0.25
 SEARCH_STEP_FLOOR = 1e-7
 SEARCH_RESTARTS = 20
+
+# Restart r of the search draws its start from draws SEARCH_DRAW_START ..
+# SEARCH_DRAW_START + 2 MAX_ATOMS - 1 of index r, past those of the
+# one-variable sampler, so no start repeats a zalcman1d sample of its seed.
+SEARCH_DRAW_START = SAMPLE_DRAWS
 
 
 @dataclass(frozen=True)
@@ -139,29 +151,50 @@ class SearchResult(NamedTuple):
     evaluations: int
 
 
-def _objective(weights, angles, order: ZalcmanOrder) -> float:
-    """|J_{m,n}| from raw atom arrays, inlined recurrence for speed."""
-    top = order.top_coefficient
-    p = [
-        2 * sum(w * cmath.exp(-1j * k * t) for w, t in zip(weights, angles))
-        for k in range(1, top)
-    ]
-    a: list[complex] = [1 + 0j]
-    for n in range(2, top + 1):
-        acc = 0j
-        for k in range(1, n):
-            acc += p[k - 1] * a[n - k - 1]
-        a.append(acc / (n - 1))
-    return abs(a[order.m - 1] * a[order.n - 1] - a[top - 1])
+def project_simplex(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every row of weights clipped to the nonnegative orthant and
+    renormalized onto the simplex, and a mask of the rows that have a
+    projection (a positive clipped sum); the other rows come back clipped."""
+    clipped = np.maximum(weights, 0.0)
+    total = clipped.sum(axis=1)
+    ok = total > 0.0
+    np.divide(clipped, total[:, None], out=clipped, where=ok[:, None])
+    return clipped, ok
 
 
-def _project_weights(weights) -> list[float] | None:
-    """Clip to the nonnegative orthant and renormalize onto the simplex."""
-    clipped = [max(w, 0.0) for w in weights]
-    total = sum(clipped)
-    if total <= 0.0:
-        return None
-    return [w / total for w in clipped]
+def search_starts(seed: int, restarts: int, max_atoms: int = MAX_ATOMS):
+    """(weights, angles, counts) of the search starts as padded rows.
+
+    Restart r has r % max_atoms + 1 atoms, so restart 0 is a single atom (a
+    rotated Koebe function) and every support size is probed.  Its weights
+    and angles come from draws SEARCH_DRAW_START .. SEARCH_DRAW_START +
+    2 MAX_ATOMS - 1 of index r in the counter stream of ``seed``.
+    """
+    counts = np.arange(restarts) % max_atoms + 1
+    u = uniforms(seed, np.arange(restarts), 2 * MAX_ATOMS, SEARCH_DRAW_START)
+    return (*atom_rows(u, counts), counts)
+
+
+def _sweep_trials(weights, angles, counts, step, pos, rows):
+    """(restart, sweep position, weights, angles) of the trials left in the
+    current sweep of each restart in ``rows``, grouped by restart in sweep
+    order; weight trials are projected, and those without a projection left
+    out.  Position 2 i tries +step and 2 i + 1 tries -step on coordinate i:
+    weights 0..k-1, then angles k..2k-1."""
+    n = 4 * counts[rows] - pos[rows]
+    owner = np.repeat(rows, n)
+    j = pos[owner] + np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
+    coord = j // 2
+    delta = np.where(j % 2 == 0, step[owner], -step[owner])
+    tw, ta = weights[owner], angles[owner]
+    on_w = coord < counts[owner]
+    i = np.flatnonzero(on_w)
+    tw[i, coord[i]] += delta[i]
+    i = np.flatnonzero(~on_w)
+    ta[i, coord[i] - counts[owner[i]]] += delta[i]
+    ok = np.ones(len(owner), dtype=bool)
+    tw[on_w], ok[on_w] = project_simplex(tw[on_w])
+    return owner[ok], j[ok], tw[ok], ta[ok]
 
 
 def search_extremal(
@@ -173,73 +206,87 @@ def search_extremal(
 ) -> SearchResult:
     """Derivative-free search for extremizers of |J_{m,n}| over measures.
 
-    Multi-start coordinate pattern search over atom weights and angles,
-    with simplex re-projection of the weights after every trial step.
-    Restart r draws a random start with (r mod max_atoms) + 1 atoms, so
-    every support size, including the extreme-point singletons, is probed.
-    ``budget`` caps the number of refinement evaluations; the start batch
-    itself is free, so budget 0 reports the best start.  Deterministic in
-    (seed, budget) and monotone in budget: a larger budget only extends
-    the evaluated candidate stream.  Candidates are ranked by the inlined
-    ``_objective``; the reported value is the best measure's |J| through
-    the batched kernel, so ``coeffs_from_p`` and ``zalcman_J`` replay it
-    bit for bit.
+    Multi-start coordinate pattern search (Torczon, SIAM J. Optim. 1997)
+    over atom weights and angles.  A sweep of a restart with k atoms tries
+    +step and -step on each weight, then on each angle, in that order; the
+    weights of a weight trial are projected back onto the simplex, and a
+    trial whose projection is empty is skipped.  The first trial that beats
+    the restart's current value is accepted and the sweep goes on from it; a
+    sweep without an acceptance halves the step, down to SEARCH_STEP_FLOOR.
+
+    The restarts (``search_starts``) advance together: each round sends the
+    rest of every running restart's sweep to ``zalcman_values`` in one
+    batch, accepts each restart's first improving trial and drops the trials
+    after it, to be issued again from the new state in the next round.  The
+    result is that of running the restarts one after another.  ``budget``
+    caps the evaluated trials (skipped ones do not count; the starts are
+    free, so budget 0 reports the best start): restart r may evaluate
+    ``budget`` minus what restarts 0..r-1 evaluated.  The best candidate is
+    the first value to beat the running best by strict >, over the starts
+    and then restart 0, 1, ...  So the result is deterministic in (seed,
+    budget) and monotone in budget.  The reported value is the best
+    measure's |J| through the batched kernel, so ``coeffs_from_p`` and
+    ``zalcman_J`` replay it bit for bit.
     """
     if budget < 0:
         raise ValueError("budget must be >= 0")
-    best_val = -1.0
-    best_state: tuple[list[float], list[float]] | None = None
-    spent = 0
+    if restarts < 1:
+        raise ValueError("restarts must be >= 1")
+    if not 1 <= max_atoms <= MAX_ATOMS:
+        raise ValueError(f"max_atoms must be between 1 and {MAX_ATOMS}")
+    weights, angles, counts = search_starts(seed, restarts, max_atoms)
+    current = zalcman_values(weights, angles, order)
+    first = int(np.argmax(current))
+    best = (float(current[first]), weights[first].copy(), angles[first].copy(), counts[first])
 
-    starts = []
-    for r in range(restarts):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, r)))
-        natoms = r % max_atoms + 1
-        raw = rng.exponential(1.0, natoms)
-        weights = (raw / raw.sum()).tolist()
-        angles = rng.uniform(0.0, 2.0 * np.pi, natoms).tolist()
-        starts.append((weights, angles))
-        val = _objective(weights, angles, order)
-        if val > best_val:
-            best_val, best_state = val, (weights, angles)
-
-    for weights, angles in starts:
-        if spent >= budget:
+    step = np.full(restarts, SEARCH_STEP_START)
+    pos = np.zeros(restarts, dtype=np.int64)
+    improved = np.zeros(restarts, dtype=bool)
+    used = np.zeros(restarts, dtype=np.int64)
+    running = np.full(restarts, budget > 0)
+    # Accepted trials of each restart as (evaluation index, value, weights,
+    # angles).  A trial that beats the running best also beats its restart's
+    # current value, so the best candidate is among them.
+    history = [[] for _ in range(restarts)]
+    while True:
+        # What restarts 0..r-1 have evaluated so far bounds what restart r may.
+        running &= used < budget - (np.cumsum(used) - used)
+        rows = np.flatnonzero(running)
+        if not rows.size:
             break
-        current = _objective(weights, angles, order)   # re-eval is free bookkeeping
-        step = SEARCH_STEP_START
-        while step >= SEARCH_STEP_FLOOR and spent < budget:
-            improved = False
-            k = len(weights)
-            for idx in range(2 * k):
-                for sign in (1.0, -1.0):
-                    if spent >= budget:
-                        break
-                    if idx < k:
-                        trial_w = list(weights)
-                        trial_w[idx] += sign * step
-                        projected = _project_weights(trial_w)
-                        if projected is None:
-                            continue
-                        trial = (projected, list(angles))
-                    else:
-                        trial_t = list(angles)
-                        trial_t[idx - k] += sign * step
-                        trial = (list(weights), trial_t)
-                    val = _objective(trial[0], trial[1], order)
-                    spent += 1
-                    if val > best_val:
-                        best_val, best_state = val, trial
-                    if val > current:
-                        weights, angles = trial
-                        current = val
-                        improved = True
-                if spent >= budget:
-                    break
-            if not improved:
-                step /= 2.0
+        owner, j, tw, ta = _sweep_trials(weights, angles, counts, step, pos, rows)
+        vals = zalcman_values(tw, ta, order)
 
-    assert best_state is not None
-    measure = HerglotzMeasure(tuple(zip(best_state[0], best_state[1])))
+        # Each restart takes its first improving trial; the rest are dropped.
+        spent = np.bincount(owner, minlength=restarts)
+        hit = np.flatnonzero(vals > current[owner])
+        won, at = np.unique(owner[hit], return_index=True)
+        a = hit[at]
+        spent[won] = a - np.searchsorted(owner, won) + 1
+        used += spent
+        tw, ta = tw[a], ta[a]
+        for r, w, t, v in zip(won.tolist(), tw, ta, vals[a].tolist()):
+            history[r].append((int(used[r]) - 1, v, w, t))
+        weights[won], angles[won], current[won] = tw, ta, vals[a]
+        improved[won] = True
+        pos[won] = j[a] + 1
+
+        ended = running.copy()
+        ended[won] = pos[won] == 4 * counts[won]
+        step[ended & ~improved] /= 2.0
+        pos[ended] = 0
+        improved[ended] = False
+        running &= step >= SEARCH_STEP_FLOOR
+
+    # Run one after another, restart r would stop after `left` evaluations.
+    left = budget
+    for r in range(restarts):
+        kept = [h for h in history[r] if h[0] < left]
+        left -= min(int(used[r]), left)
+        if kept and kept[-1][1] > best[0]:
+            best = (*kept[-1][1:], counts[r])
+
+    _, w, t, k = best
+    measure = HerglotzMeasure(tuple(zip(w[:k].tolist(), t[:k].tolist())))
     value = float(zalcman_values(*measure.padded(), order)[0])
-    return SearchResult(measure, value, spent)
+    return SearchResult(measure, value, budget - left)

@@ -234,6 +234,21 @@ def test_cli_usage_errors_exit_with_two(capsys):
     capsys.readouterr()
 
 
+def test_gradients_configs_that_cannot_sample_are_usage_errors(capsys):
+    # dim^(-1/p) bounds the smallest coordinate modulus on the l1 (p = 1)
+    # and lp (p < 2) spheres, so these configs are rejected before sampling.
+    for norm, dim in (("l1", 20), ("lp:1.5", 90)):
+        with pytest.raises(UsageError):
+            run_campaign(CampaignConfig("gradients", dim=dim, norm=norm, samples=1))
+    assert run_campaign(CampaignConfig("gradients", dim=10, norm="lp:1.5", samples=5)).passed
+    # On l1 in C^17 a gap of GRAD_MIN_GAP is possible but almost never drawn.
+    for dim in ("17", "20"):
+        assert main(["verify", "gradients", "--norm", "l1", "--dim", dim, "--samples", "3"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ")
+
+
 def test_cli_env_seed_fallback_and_override(capsys, monkeypatch):
     monkeypatch.setenv("ZALCMAN_SEED", "99")
     main(["verify", "zalcman1d", "--samples", "5"])

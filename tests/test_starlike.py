@@ -1,6 +1,7 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -12,6 +13,15 @@ from zalcman import (
     coeffs_oracle,
     search_extremal,
     zalcman_J,
+)
+from zalcman import starlike
+from zalcman.herglotz import MAX_ATOMS, sample_batch
+from zalcman.starlike import (
+    SEARCH_RESTARTS,
+    SearchResult,
+    project_simplex,
+    search_starts,
+    zalcman_values,
 )
 
 from support import measures
@@ -118,3 +128,136 @@ def test_budget_zero_still_reports_a_start_candidate():
     result = search_extremal(ZalcmanOrder(2, 3), budget=0, seed=3)
     assert result.evaluations == 0
     assert 0.0 <= result.value <= 2.0 + 1e-9
+
+
+def test_search_rejects_bad_restarts_and_atom_counts():
+    o = ZalcmanOrder(2, 3)
+    for kwargs in ({"restarts": 0}, {"restarts": -1}, {"max_atoms": 0}, {"max_atoms": MAX_ATOMS + 1}):
+        with pytest.raises(ValueError):
+            search_extremal(o, budget=10, seed=0, **kwargs)
+
+
+def test_search_starts_come_from_their_own_draws():
+    weights, angles, counts = search_starts(7, SEARCH_RESTARTS)
+    assert counts.tolist() == [r % MAX_ATOMS + 1 for r in range(SEARCH_RESTARTS)]
+    live = np.arange(MAX_ATOMS) < counts[:, None]
+    assert (weights[live] > 0).all() and (weights[~live] == 0).all() and (angles[~live] == 0).all()
+    assert np.abs(weights.sum(axis=1) - 1.0).max() < 1e-12
+    # Restart 0 is a rotated Koebe function, so every search reaches the bound.
+    assert counts[0] == 1 and weights[0, 0] == 1.0
+    # The zalcman1d samples of the same seed and indices are other measures.
+    _, sample_angles = sample_batch(7, np.arange(SEARCH_RESTARTS))
+    assert not np.isin(angles[live], sample_angles).any()
+    assert search_starts(7, 5, max_atoms=2)[2].tolist() == [1, 2, 1, 2, 1]
+
+
+def _reference_search(order, seed, budgets, restarts=SEARCH_RESTARTS, max_atoms=MAX_ATOMS):
+    """The pattern search of ``search_extremal`` one restart after another
+    and one trial at a time, with the projection and the kernel as
+    batch-of-one calls.  A run under budget b is a prefix of a run under a
+    larger one, so one run gives {b: SearchResult} for every b in budgets."""
+    budget = max(budgets)
+    start_w, start_a, counts = search_starts(seed, restarts, max_atoms)
+
+    def value(w, a):
+        return float(zalcman_values(w[None], a[None], order)[0])
+
+    def result(state, spent):
+        w, a, k = state
+        measure = HerglotzMeasure(tuple(zip(w[:k].tolist(), a[:k].tolist())))
+        return SearchResult(measure, float(zalcman_values(*measure.padded(), order)[0]), spent)
+
+    results = {}
+
+    def reached(spent):
+        if spent in budgets and spent not in results:
+            results[spent] = result(best_state, spent)
+
+    best_val, best_state = -1.0, None
+    starts = []
+    for w, a, k in zip(start_w, start_a, counts):
+        val = value(w, a)
+        starts.append((w, a, k, val))
+        if val > best_val:
+            best_val, best_state = val, (w, a, k)
+    spent = 0
+    reached(spent)
+    for weights, angles, k, current in starts:
+        if spent >= budget:
+            break
+        step = starlike.SEARCH_STEP_START
+        while step >= starlike.SEARCH_STEP_FLOOR and spent < budget:
+            improved = False
+            for idx in range(2 * k):
+                for sign in (1.0, -1.0):
+                    if spent >= budget:
+                        break
+                    trial_w, trial_a = weights.copy(), angles.copy()
+                    if idx < k:
+                        trial_w[idx] += sign * step
+                        projected, ok = project_simplex(trial_w[None])
+                        if not ok[0]:
+                            continue
+                        trial_w = projected[0]
+                    else:
+                        trial_a[idx - k] += sign * step
+                    val = value(trial_w, trial_a)
+                    spent += 1
+                    if val > best_val:
+                        best_val, best_state = val, (trial_w, trial_a, k)
+                    if val > current:
+                        weights, angles, current = trial_w, trial_a, val
+                        improved = True
+                    reached(spent)
+                if spent >= budget:
+                    break
+            if not improved:
+                step /= 2.0
+    final = result(best_state, spent)
+    return {b: results.get(b, final) for b in budgets}
+
+
+SEARCH_ORDERS = [ZalcmanOrder(m, n) for m in (2, 3, 4) for n in range(m, 5)]
+SEARCH_BUDGETS = (0, 1, 2, 3, 37, 200, 1500, 2000, 20000)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("order", SEARCH_ORDERS, ids=lambda o: f"{o.m}{o.n}")
+def test_batched_search_equals_the_sequential_search(order, seed):
+    expected = _reference_search(order, seed, SEARCH_BUDGETS)
+    for budget in SEARCH_BUDGETS:
+        result = search_extremal(order, budget, seed)
+        assert result == expected[budget], budget
+        assert abs(zalcman_J(coeffs_from_p(result.measure), order)) == result.value
+    # 20000 runs every restart to its step floor; the smaller budgets cut.
+    assert expected[2000].evaluations == 2000 < expected[20000].evaluations < 20000
+
+
+def test_search_keeps_an_atom_whose_weight_was_clipped_to_zero():
+    o, budget, seed = ZalcmanOrder(2, 4), 200, 2
+    result = search_extremal(o, budget, seed)
+    assert result == _reference_search(o, seed, (budget,))[budget]
+    weights = [w for w, _ in result.measure.atoms]
+    assert 0.0 in weights and len(weights) > 1
+
+
+def test_simplex_projection_clips_renormalizes_and_flags_empty_rows():
+    weights = np.zeros((3, MAX_ATOMS))
+    weights[0, :3] = (0.5, -0.25, 0.75)
+    weights[1, :2] = (-0.5, 0.0)
+    weights[2, 0] = 1.0
+    projected, ok = project_simplex(weights)
+    assert ok.tolist() == [True, False, True]
+    assert projected[0, :3].tolist() == [0.4, 0.0, 0.6] and projected[2, 0] == 1.0
+    assert (projected[:, 3:] == 0).all()
+
+
+def test_trials_without_a_projection_are_skipped_and_not_counted(monkeypatch):
+    # A weight trial moves one weight of a unit sum by at most the step, so
+    # below step 1 every trial has a projection.  A first step of 2 takes
+    # the single weight of restart 0 to -1, whose projection is empty.
+    monkeypatch.setattr(starlike, "SEARCH_STEP_START", 2.0)
+    o, seed, budgets = ZalcmanOrder(2, 3), 4, (0, 1, 2, 5, 300, 20000)
+    expected = _reference_search(o, seed, budgets)
+    for budget in budgets:
+        assert search_extremal(o, budget, seed) == expected[budget], budget

@@ -126,7 +126,12 @@ def _as_vec(z) -> np.ndarray:
 
 
 def pair(b: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """sum_i b_i w_i along the last axis (no conjugation)."""
+    """sum_i b_i w_i along the last axis (no conjugation); the leading axes
+    broadcast, the last axes must have the same length."""
+    if b.shape[-1] != w.shape[-1]:
+        raise ValueError(
+            f"covector of length {b.shape[-1]} paired with a vector of length {w.shape[-1]}"
+        )
     return (b * w).sum(axis=-1)
 
 
@@ -232,6 +237,8 @@ def dual_norm(space: SpaceSpec, b):
     ``b`` is a Covector, one entry sequence, or an array of them along its
     last axis."""
     entries = np.abs(_as_vec(b.entries if isinstance(b, Covector) else b))
+    if entries.ndim == 0 or entries.shape[-1] != space.dim:
+        raise ValueError(f"expected covectors of length {space.dim}")
     lead = entries.shape[:-1]
     entries = entries.reshape(-1, entries.shape[-1])
     if space.kind == "lp":
@@ -251,6 +258,28 @@ def dual_norm(space: SpaceSpec, b):
     if space.kind == "sup":
         return _shaped(entries.sum(axis=1), lead)
     return _shaped(entries.max(axis=1), lead)
+
+
+def norming_rows(space: SpaceSpec, b: np.ndarray) -> np.ndarray:
+    """Points z of unit gauge with sum_i b_i z_i = dual_norm(b), up to
+    rounding, for every row of a (rows, dim) array of nonzero covectors.
+
+    lp:  z_i proportional to |b_i|^(q-1) conj(b_i)/|b_i|, q = p/(p-1)
+         (0 for b_i = 0);
+    sup: z_i = conj(b_i)/|b_i| in every coordinate (1 for b_i = 0);
+    l1:  conj(b_j)/|b_j| at the first index j of the largest |b_j|, 0 elsewhere.
+    """
+    mods = np.abs(b)
+    live = mods > 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        phase = np.where(live, np.conj(b) / mods, 1.0)
+        if space.kind == "lp":
+            z = np.where(live, mods ** (space.p / (space.p - 1.0) - 1.0), 0.0) * phase
+        elif space.kind == "sup":
+            z = phase
+        else:
+            z = np.where(np.arange(b.shape[-1]) == np.argmax(mods, axis=1)[:, None], phase, 0.0)
+    return z / rho(space, z)[:, None]
 
 
 def fd_gradient_rows(space: SpaceSpec, z: np.ndarray, step: float = 1e-5) -> np.ndarray:

@@ -86,18 +86,36 @@ def check_atoms(weights: np.ndarray, angles: np.ndarray) -> None:
         raise ValueError(f"atom weights sum to {total[off][0]}, expected 1")
 
 
+def phase_table(angles: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """cos(k theta) and sin(k theta) for k = 1..count at every atom of every
+    row of ``angles``, each a (rows, count, atoms) array.
+
+    Entry [r, k - 1, i] depends on angles[r, i] alone, so a table whose
+    column i is recomputed from a single angle equals the table of the
+    whole row bit for bit.
+    """
+    phase = np.arange(1, count + 1)[:, None] * angles[:, None, :]
+    return np.cos(phase), np.sin(phase)
+
+
+def table_moments(weights: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
+    """Moments p_k = 2 sum_i w_i (cos(k theta_i) - i sin(k theta_i)) of every
+    row from its weights and phase table (see ``phase_table``), as a
+    (rows, count) complex array."""
+    w = weights[:, None, :]
+    p = np.empty(cos.shape[:2], dtype=complex)
+    p.real = 2.0 * (w * cos).sum(axis=-1)
+    p.imag = -2.0 * (w * sin).sum(axis=-1)
+    return p
+
+
 def batch_moments(weights: np.ndarray, angles: np.ndarray, count: int) -> np.ndarray:
     """Moments p_1..p_count of every row, as a (rows, count) complex array.
 
     ``weights`` and ``angles`` are (rows, MAX_ATOMS) arrays whose padding
     atoms have weight 0 and angle 0, so they add exact zeros.
     """
-    phase = np.arange(1, count + 1)[:, None] * angles[:, None, :]
-    w = weights[:, None, :]
-    p = np.empty(phase.shape[:2], dtype=complex)
-    p.real = 2.0 * (w * np.cos(phase)).sum(axis=-1)
-    p.imag = -2.0 * (w * np.sin(phase)).sum(axis=-1)
-    return p
+    return table_moments(weights, *phase_table(angles, count))
 
 
 def batch_margins(

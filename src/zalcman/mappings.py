@@ -38,10 +38,11 @@ from .geometry import (
     check_radii,
     dual_norm,
     gaussians,
+    norming_rows,
     pair,
     rho,
     rng_draws,
-    sample_direction,
+    sphere_rows,
     support_covector,
     support_rows,
 )
@@ -49,6 +50,9 @@ from .herglotz import WEIGHT_TOL, modulus
 from .series import TruncatedSeries, series_div, series_exp
 
 DUAL_NORM_TOL = 1e-12
+
+# The closed-form scan witness halves its offset from the pole down to this.
+POLE_EPS_FLOOR = 1e-13
 
 # Homogeneous parts are computed through degree 6: enough for the degree-4
 # functionals plus the transfer-function coefficients c_1..c_3 with headroom.
@@ -180,6 +184,14 @@ def _padded(spec) -> tuple[np.ndarray, np.ndarray]:
     return lams, covs
 
 
+def _atom_arrays(spec) -> tuple[np.ndarray, np.ndarray]:
+    """Weights (atoms,) and covectors (atoms, dim) of the atoms of ``spec``,
+    without padding."""
+    atoms = _atoms_of(spec)
+    lams, covs = _padded(atoms)
+    return lams[0, : len(atoms)], covs[0, : len(atoms)]
+
+
 def hom_rows(lams: np.ndarray, covs: np.ndarray, z: np.ndarray, upto: int) -> np.ndarray:
     """Values f_0(z)..f_upto(z) of the homogeneous parts of f at every row,
     as a (rows, upto + 1) array.
@@ -305,14 +317,21 @@ def restrict_h(spec, z0, order: int = MAX_HOM_DEGREE) -> TruncatedSeries:
     return TruncatedSeries(tuple(h_rows(f)[0].tolist()))
 
 
+def _transfer(lams: np.ndarray, x: np.ndarray, zeta):
+    """h(zeta) = 1 + sum_k 2 lam_k x_k zeta / (1 - x_k zeta) for the atoms'
+    weights and values x_k = b_k(z0); elementwise when zeta is an array."""
+    acc = 1 + 0j
+    for lam, xk in zip(lams.tolist(), x.tolist()):
+        y = xk * zeta
+        acc += 2.0 * lam * y / (1.0 - y)
+    return acc
+
+
 def h_eval(spec, z0, zeta):
     """Exact rational value of the transfer function at zeta on the disk;
     elementwise when zeta is an array."""
-    acc = 1 + 0j
-    for (lam, b) in _atoms_of(spec):
-        x = b(z0) * zeta
-        acc += 2.0 * lam * x / (1.0 - x)
-    return acc
+    lams, covs = _atom_arrays(spec)
+    return _transfer(lams, pair(covs, np.asarray(z0, dtype=complex)), zeta)
 
 
 @dataclass(frozen=True)
@@ -358,33 +377,78 @@ class ScanReport:
         return self.witness is None
 
 
+def pole_witness(space: SpaceSpec, spec) -> ScanWitness | None:
+    """A point where Re h <= 0, in closed form, when some atom of positive
+    weight has dual norm above 1 + DUAL_NORM_TOL; None otherwise.
+
+    At the unit-gauge norming point z0 of the atom of largest dual norm
+    (``geometry.norming_rows``), b(z0) = ||b||_* > 1 puts the pole 1/b(z0)
+    of its term inside the disk.  At zeta = (1 + eps)/b(z0), with
+    0 < eps < |b(z0)| - 1 so that |zeta| < 1, that term is
+    -lam (2 + eps)/eps, which outweighs the others as eps shrinks.  eps
+    starts at (|b(z0)| - 1)/2 and halves until Re h <= 0, or until it falls
+    below POLE_EPS_FLOOR: an atom whose weight is too small for that leaves
+    a witness with Re h > 0, and the map still fails.
+    """
+    lams, covs = _atom_arrays(spec)
+    norms = np.where(lams > 0.0, dual_norm(space, covs), 0.0)
+    k = int(np.argmax(norms))
+    if not norms[k] > 1.0 + DUAL_NORM_TOL:
+        return None
+    z0 = norming_rows(space, covs[k][None])[0]
+    bz = complex(pair(covs[k], z0))
+    eps = (abs(bz) - 1.0) / 2.0
+    while True:
+        zeta = (1.0 + eps) / bz
+        h = h_eval(spec, z0, zeta)
+        if h.real <= 0.0 or eps < POLE_EPS_FLOOR:
+            return ScanWitness(tuple(z0.tolist()), complex(zeta), complex(h))
+        eps /= 2.0
+
+
 def starlikeness_scan(
     space: SpaceSpec,
     spec,
     grid: GridSpec = GridSpec(),
     seed: int = 0,
 ) -> ScanReport:
-    """Necessary-condition scan: Re h > 0 sampled over directions and zeta.
+    """Starlikeness of the map: Re h > 0 for every unit-gauge z0 and zeta.
 
-    Directions are drawn on the unit sphere of the gauge off the
-    exceptional set; the first sample in (direction, radius, angle) order
-    whose real part is not positive (NaN included) is reported as a
-    witness.  Passing is evidence by sampling, not a proof.
+    When the weights lie on the simplex, h = sum_k lam_k (1 + x_k)/(1 - x_k)
+    is a convex combination of Moebius maps, so Re h > 0 on the whole disk
+    for every z0 exactly when every atom of positive weight has dual norm
+    at most 1.  A map with an atom above 1 + DUAL_NORM_TOL fails.
+
+    The grid is a cross-check that also catches maps whose weights are off
+    the simplex: all ``grid.directions`` directions come from one
+    ``sphere_rows`` draw on a Generator seeded by (seed, 0x5CA9), every
+    b_k(z0) from one ``pair`` call, and h is evaluated one direction at a
+    time over the polar zeta-grid.  The first grid sample in (direction,
+    radius, angle) order whose real part is not positive (NaN included) is
+    the witness; if there is none and the dual norms fail the map, the
+    witness is ``pole_witness``.  ``min_real`` is the least Re h over the
+    grid and the witness, and ``samples`` counts the grid.
     """
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 0x5CA9)))
+    lams, covs = _atom_arrays(spec)
+    directions = sphere_rows(space, rng_draws(rng), grid.directions)
+    x = pair(covs, directions[:, None, :])
     radii = np.geomspace(grid.rmin, grid.rmax, grid.radii)
     phases = np.exp(2j * np.pi * np.arange(grid.angles) / grid.angles)
     zeta = (radii[:, None] * phases[None, :]).ravel()
     min_real = np.inf
     witness = None
-    for _ in range(grid.directions):
-        z0 = sample_direction(space, rng)
-        h = h_eval(spec, z0, zeta)
+    for z0, xs in zip(directions, x):
+        h = _transfer(lams, xs, zeta)
         min_real = np.minimum(min_real, h.real.min())
         bad = np.flatnonzero(~(h.real > 0.0))
         if witness is None and bad.size:
             k = bad[0]
             witness = ScanWitness(tuple(complex(c) for c in z0), complex(zeta[k]), complex(h[k]))
+    if witness is None:
+        witness = pole_witness(space, spec)
+        if witness is not None:
+            min_real = np.minimum(min_real, witness.h_value.real)
     return ScanReport(float(min_real), grid.directions * zeta.size, witness)
 
 

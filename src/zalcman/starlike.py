@@ -25,6 +25,8 @@ from .herglotz import (
     atom_rows,
     batch_moments,
     modulus,
+    phase_table,
+    table_moments,
     uniforms,
 )
 from .series import DEFAULT_ORDER, TruncatedSeries
@@ -104,12 +106,20 @@ def batch_zalcman(a: np.ndarray, order: ZalcmanOrder) -> np.ndarray:
     return a[:, order.m - 1] * a[:, order.n - 1] - a[:, order.top_coefficient - 1]
 
 
+def table_values(
+    weights: np.ndarray, cos: np.ndarray, sin: np.ndarray, order: ZalcmanOrder
+) -> np.ndarray:
+    """|J_{m,n}| of every row from its weights and its phase table of
+    p_1..p_{m+n-2} (see ``herglotz.phase_table``)."""
+    top = order.top_coefficient
+    a = batch_coeffs(table_moments(weights, cos, sin), top)
+    return modulus(batch_zalcman(a, order))
+
+
 def zalcman_values(weights: np.ndarray, angles: np.ndarray, order: ZalcmanOrder) -> np.ndarray:
     """|J_{m,n}| of every row of padded atom arrays, through the kernel;
     each entry equals abs(zalcman_J(coeffs_from_p(row measure), order))."""
-    top = order.top_coefficient
-    a = batch_coeffs(batch_moments(weights, angles, top - 1), top)
-    return modulus(batch_zalcman(a, order))
+    return table_values(weights, *phase_table(angles, order.top_coefficient - 1), order)
 
 
 def _check_order(order: int) -> None:
@@ -175,26 +185,41 @@ def search_starts(seed: int, restarts: int, max_atoms: int = MAX_ATOMS):
     return (*atom_rows(u, counts), counts)
 
 
-def _sweep_trials(weights, angles, counts, step, pos, rows):
-    """(restart, sweep position, weights, angles) of the trials left in the
-    current sweep of each restart in ``rows``, grouped by restart in sweep
-    order; weight trials are projected, and those without a projection left
-    out.  Position 2 i tries +step and 2 i + 1 tries -step on coordinate i:
-    weights 0..k-1, then angles k..2k-1."""
+def _sweep_trials(weights, angles, cos, sin, counts, step, pos, rows):
+    """The trials left in the current sweep of each restart in ``rows``, as
+    (restart, sweep position, weights, angles, cos, sin), grouped by restart
+    in sweep order.
+
+    Position 2 i tries +step and 2 i + 1 tries -step on coordinate i:
+    weights 0..k-1, then angles k..2k-1.  Weight trials are projected onto
+    the simplex, those without a projection left out, and keep their
+    restart's phase table (cos, sin); an angle trial recomputes only the
+    column of the angle it moves.  So every trial's table is
+    ``phase_table`` of its angles bit for bit, and ``table_values`` ranks
+    it as ``zalcman_values`` would.
+    """
     n = 4 * counts[rows] - pos[rows]
     owner = np.repeat(rows, n)
-    j = pos[owner] + np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
+    j = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n - pos[rows], n)
     coord = j // 2
-    delta = np.where(j % 2 == 0, step[owner], -step[owner])
-    tw, ta = weights[owner], angles[owner]
-    on_w = coord < counts[owner]
-    i = np.flatnonzero(on_w)
-    tw[i, coord[i]] += delta[i]
+    delta = step[owner] * (1 - 2 * (j % 2))
+    k = counts[owner]
+    tw, ta, tc, ts = weights[owner], angles[owner], cos[owner], sin[owner]
+    on_w = coord < k
+    iw = np.flatnonzero(on_w)
+    tw[iw, coord[iw]] += delta[iw]
+    tw[iw], ok = project_simplex(tw[iw])
     i = np.flatnonzero(~on_w)
-    ta[i, coord[i] - counts[owner[i]]] += delta[i]
-    ok = np.ones(len(owner), dtype=bool)
-    tw[on_w], ok[on_w] = project_simplex(tw[on_w])
-    return owner[ok], j[ok], tw[ok], ta[ok]
+    col = coord[i] - k[i]
+    ta[i, col] += delta[i]
+    c, s = phase_table(ta[i, col, None], cos.shape[1])
+    at = (i[:, None], np.arange(cos.shape[1]), col[:, None])
+    tc[at], ts[at] = c[:, :, 0], s[:, :, 0]
+    if ok.all():
+        return owner, j, tw, ta, tc, ts
+    keep = np.ones(len(owner), dtype=bool)
+    keep[iw[~ok]] = False
+    return owner[keep], j[keep], tw[keep], ta[keep], tc[keep], ts[keep]
 
 
 def search_extremal(
@@ -214,19 +239,23 @@ def search_extremal(
     the restart's current value is accepted and the sweep goes on from it; a
     sweep without an acceptance halves the step, down to SEARCH_STEP_FLOOR.
 
-    The restarts (``search_starts``) advance together: each round sends the
-    rest of every running restart's sweep to ``zalcman_values`` in one
-    batch, accepts each restart's first improving trial and drops the trials
-    after it, to be issued again from the new state in the next round.  The
-    result is that of running the restarts one after another.  ``budget``
-    caps the evaluated trials (skipped ones do not count; the starts are
-    free, so budget 0 reports the best start): restart r may evaluate
-    ``budget`` minus what restarts 0..r-1 evaluated.  The best candidate is
-    the first value to beat the running best by strict >, over the starts
-    and then restart 0, 1, ...  So the result is deterministic in (seed,
-    budget) and monotone in budget.  The reported value is the best
-    measure's |J| through the batched kernel, so ``coeffs_from_p`` and
-    ``zalcman_J`` replay it bit for bit.
+    The restarts (``search_starts``) advance together: each round ranks the
+    rest of every running restart's sweep in one ``table_values`` batch,
+    accepts each restart's first improving trial and drops the trials after
+    it, to be issued again from the new state in the next round.  Each
+    restart keeps the phase table of its current angles, replaced only on
+    acceptance, so a round computes trig only for the one angle column of
+    each angle trial (see ``_sweep_trials``), and every |J| it ranks equals
+    ``zalcman_values`` of the trial's row bit for bit.  The result is that
+    of running the restarts one after another.  ``budget`` caps the
+    evaluated trials (skipped ones do not count; the starts are free, so
+    budget 0 reports the best start): restart r may evaluate ``budget``
+    minus what restarts 0..r-1 evaluated.  The best candidate is the first
+    value to beat the running best by strict >, over the starts and then
+    restart 0, 1, ...  So the result is deterministic in (seed, budget) and
+    monotone in budget.  The reported value is the best measure's |J|
+    through the batched kernel, so ``coeffs_from_p`` and ``zalcman_J``
+    replay it bit for bit.
     """
     if budget < 0:
         raise ValueError("budget must be >= 0")
@@ -235,7 +264,8 @@ def search_extremal(
     if not 1 <= max_atoms <= MAX_ATOMS:
         raise ValueError(f"max_atoms must be between 1 and {MAX_ATOMS}")
     weights, angles, counts = search_starts(seed, restarts, max_atoms)
-    current = zalcman_values(weights, angles, order)
+    cos, sin = phase_table(angles, order.top_coefficient - 1)
+    current = table_values(weights, cos, sin, order)
     first = int(np.argmax(current))
     best = (float(current[first]), weights[first].copy(), angles[first].copy(), counts[first])
 
@@ -244,30 +274,34 @@ def search_extremal(
     improved = np.zeros(restarts, dtype=bool)
     used = np.zeros(restarts, dtype=np.int64)
     running = np.full(restarts, budget > 0)
-    # Accepted trials of each restart as (evaluation index, value, weights,
-    # angles).  A trial that beats the running best also beats its restart's
-    # current value, so the best candidate is among them.
-    history = [[] for _ in range(restarts)]
+    # Accepted trials of each round as (restart, evaluation index, value,
+    # weights, angles).  A trial that beats the running best also beats its
+    # restart's current value, so the best candidate is among them.
+    history = []
     while True:
         # What restarts 0..r-1 have evaluated so far bounds what restart r may.
         running &= used < budget - (np.cumsum(used) - used)
         rows = np.flatnonzero(running)
         if not rows.size:
             break
-        owner, j, tw, ta = _sweep_trials(weights, angles, counts, step, pos, rows)
-        vals = zalcman_values(tw, ta, order)
+        owner, j, tw, ta, tc, ts = _sweep_trials(weights, angles, cos, sin, counts, step, pos, rows)
+        vals = table_values(tw, tc, ts, order)
 
         # Each restart takes its first improving trial; the rest are dropped.
-        spent = np.bincount(owner, minlength=restarts)
+        # The trials are grouped by restart, so a hit opens its restart's run
+        # of hits when the hit before it belongs to another restart.
         hit = np.flatnonzero(vals > current[owner])
-        won, at = np.unique(owner[hit], return_index=True)
-        a = hit[at]
+        first = np.ones(hit.size, dtype=bool)
+        first[1:] = owner[hit[1:]] != owner[hit[:-1]]
+        a = hit[first]
+        won = owner[a]
+        spent = np.bincount(owner, minlength=restarts)
         spent[won] = a - np.searchsorted(owner, won) + 1
         used += spent
-        tw, ta = tw[a], ta[a]
-        for r, w, t, v in zip(won.tolist(), tw, ta, vals[a].tolist()):
-            history[r].append((int(used[r]) - 1, v, w, t))
-        weights[won], angles[won], current[won] = tw, ta, vals[a]
+        va, wa, aa = vals[a], tw[a], ta[a]
+        history.append((won, used[won] - 1, va, wa, aa))
+        weights[won], angles[won], current[won] = wa, aa, va
+        cos[won], sin[won] = tc[a], ts[a]
         improved[won] = True
         pos[won] = j[a] + 1
 
@@ -278,15 +312,21 @@ def search_extremal(
         improved[ended] = False
         running &= step >= SEARCH_STEP_FLOOR
 
-    # Run one after another, restart r would stop after `left` evaluations.
-    left = budget
-    for r in range(restarts):
-        kept = [h for h in history[r] if h[0] < left]
-        left -= min(int(used[r]), left)
-        if kept and kept[-1][1] > best[0]:
-            best = (*kept[-1][1:], counts[r])
+    # Run one after another, restart r would stop after `left[r]` evaluations
+    # and keep its last acceptance before that.  Accepted values rise within
+    # a restart, so the best candidate is the largest kept value, of the
+    # first restart that reaches it, if it beats the best start.
+    left = np.maximum(budget - (np.cumsum(used) - used), 0)
+    if history:
+        owner, index, vals, tw, ta = (np.concatenate(part) for part in zip(*history))
+        kept = np.flatnonzero(index < left[owner])
+        if kept.size:
+            top = kept[vals[kept] == vals[kept].max()]
+            pick = top[np.argmin(owner[top])]
+            if vals[pick] > best[0]:
+                best = (vals[pick], tw[pick], ta[pick], counts[owner[pick]])
 
     _, w, t, k = best
     measure = HerglotzMeasure(tuple(zip(w[:k].tolist(), t[:k].tolist())))
     value = float(zalcman_values(*measure.padded(), order)[0])
-    return SearchResult(measure, value, budget - left)
+    return SearchResult(measure, value, min(int(used.sum()), budget))

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from zalcman import (
+    CampaignConfig,
     Covector,
     ExceptionalPoint,
     GridSpec,
@@ -31,7 +32,9 @@ from zalcman import (
     sup_space,
     zalcman_nd,
 )
-from zalcman.mappings import h_eval
+from zalcman.campaigns import _lifted_sample, space_of
+from zalcman.geometry import norming_rows, pair
+from zalcman.mappings import DUAL_NORM_TOL, ScanReport, ScanWitness, h_eval, pole_witness
 
 from support import lifted_specs, unit_complex
 
@@ -377,3 +380,114 @@ def test_functional_values_serialize():
     assert obj["mode"] == "ball"
     assert len(obj["values"]) == 3
     assert obj["space"] == {"dim": 2, "kind": "lp", "p": 2.0}
+
+
+# --- covector lengths -------------------------------------------------------
+
+@pytest.mark.parametrize("entries", [(1.0,), (0.5, 0.25, 0.125)], ids=["short", "long"])
+def test_covectors_of_the_wrong_length_are_rejected(entries):
+    spec = single_atom(entries)
+    z0 = np.array([1.0, 0.0])
+    with pytest.raises(ValueError, match="covector of length"):
+        starlikeness_scan(E2, spec, GridSpec(directions=2))
+    with pytest.raises(ValueError, match="covector of length"):
+        h_eval(spec, z0, 0.5)
+    with pytest.raises(ValueError, match="covector of length"):
+        zalcman_nd(E2, spec, 0.5 * z0)
+    with pytest.raises(ValueError, match="covector of length"):
+        Covector(entries)(z0)
+    with pytest.raises(ValueError, match="expected covectors of length 2"):
+        spec.validate_for(E2)
+
+
+def test_a_witness_from_c3_does_not_replay_on_c2():
+    cfg = CampaignConfig("ball", seed=3, samples=1, dim=3, norm="l2")
+    spec, z = _lifted_sample(cfg, space_of(cfg), 0)
+    spec = LiftedMapSpec.from_json(json.loads(json.dumps(spec.to_json())))
+    with pytest.raises(ValueError, match="covector of length 3 paired with a vector of length 2"):
+        zalcman_nd(E2, spec, z[:2])
+
+
+# --- exact verdict of the scan -----------------------------------------------
+
+@pytest.mark.parametrize("space", FAMILIES, ids=family_ids())
+def test_norming_points_have_unit_gauge_and_attain_the_dual_norm(space):
+    rng = np.random.default_rng(17)
+    b = rng.normal(size=(40, 3)) + 1j * rng.normal(size=(40, 3))
+    b[::4, 1] = 0.0  # zero entries take the special branches
+    z = norming_rows(space, b)
+    assert np.abs(rho(space, z) - 1.0).max() <= 1e-15
+    paired = pair(b, z)
+    norms = dual_norm(space, b)
+    assert np.abs(paired - norms).max() <= 1e-14 * norms.max()
+
+
+@pytest.mark.parametrize("space", [E2, lp_space(2, 3.0)], ids=["l2", "lp3"])
+@pytest.mark.parametrize("norm", [1.001, 1.01, 1.0])
+def test_scan_fails_exactly_the_maps_with_an_atom_past_the_dual_ball(space, norm):
+    # Beyond dual norm 1 the pole of h lies inside the disk but, for these
+    # norms, outside the grid's largest radius 0.99.
+    rng = np.random.default_rng(5)
+    b = Covector(tuple(rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)))
+    other = Covector((0.5,) + (0.0,) * (space.dim - 1))
+    spec = LiftedMapSpec(((0.75, b.scale(norm / dual_norm(space, b))), (0.25, other)))
+    rep = starlikeness_scan(space, spec, seed=2)
+    assert rep.samples == 24 * 16 * 64
+    if norm == 1.0:
+        assert rep.passed and rep.min_real > 0.0
+        assert pole_witness(space, spec) is None
+        return
+    assert not rep.passed
+    w = rep.witness
+    assert w == pole_witness(space, spec)
+    assert abs(rho(space, np.array(w.direction)) - 1.0) <= 1e-15
+    assert abs(w.zeta) < 1.0
+    assert h_eval(spec, list(w.direction), w.zeta) == w.h_value
+    assert w.h_value.real <= 0.0 and rep.min_real == w.h_value.real
+
+
+def test_pole_witness_ignores_atoms_of_zero_weight_and_tolerates_rounding():
+    # A zero-weight atom drops out of f, however large its functional.
+    spec = LiftedMapSpec(((1.0, Covector((0.6, 0.8))), (0.0, Covector((5.0, 0.0)))))
+    assert pole_witness(E2, spec) is None and starlikeness_scan(E2, spec).passed
+    edge = single_atom((1.0 + 0.5 * DUAL_NORM_TOL, 0.0))
+    assert pole_witness(E2, edge) is None
+    assert pole_witness(E2, single_atom((1.0 + 2.0 * DUAL_NORM_TOL, 0.0))) is not None
+
+
+def per_direction_scan(space, spec, grid, seed):
+    """The scan as it was written before its directions were batched: one
+    ``sample_direction`` draw and one ``h_eval`` call per direction, with
+    the closed-form witness when the grid finds none."""
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 0x5CA9)))
+    radii = np.geomspace(grid.rmin, grid.rmax, grid.radii)
+    phases = np.exp(2j * np.pi * np.arange(grid.angles) / grid.angles)
+    zeta = (radii[:, None] * phases[None, :]).ravel()
+    min_real = np.inf
+    witness = None
+    for _ in range(grid.directions):
+        z0 = sample_direction(space, rng)
+        h = h_eval(spec, z0, zeta)
+        min_real = np.minimum(min_real, h.real.min())
+        bad = np.flatnonzero(~(h.real > 0.0))
+        if witness is None and bad.size:
+            k = bad[0]
+            witness = ScanWitness(tuple(complex(c) for c in z0), complex(zeta[k]), complex(h[k]))
+    if witness is None:
+        witness = pole_witness(space, spec)
+        if witness is not None:
+            min_real = np.minimum(min_real, witness.h_value.real)
+    return ScanReport(float(min_real), grid.directions * zeta.size, witness)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_batched_scan_equals_the_per_direction_scan(seed):
+    # No draw is rejected on the Euclidean ball, so one batched draw gives
+    # the directions of the per-direction loop.
+    valid = sample_lifted_spec(E2, np.random.default_rng(100 + seed))
+    b = valid.atoms[0][1]
+    invalid = single_atom(b.scale(1.5 / dual_norm(E2, b)).entries)
+    for spec in (valid, invalid):
+        rep = starlikeness_scan(E2, spec, seed=seed)
+        assert rep == per_direction_scan(E2, spec, GridSpec(), seed)
+        assert rep.passed == (spec is valid)

@@ -15,12 +15,13 @@ from zalcman import (
     zalcman_J,
 )
 from zalcman import starlike
-from zalcman.herglotz import MAX_ATOMS, sample_batch
+from zalcman.herglotz import MAX_ATOMS, atom_rows, phase_table, sample_batch
 from zalcman.starlike import (
     SEARCH_RESTARTS,
     SearchResult,
     project_simplex,
     search_starts,
+    table_values,
     zalcman_values,
 )
 
@@ -261,3 +262,34 @@ def test_trials_without_a_projection_are_skipped_and_not_counted(monkeypatch):
     expected = _reference_search(o, seed, budgets)
     for budget in budgets:
         assert search_extremal(o, budget, seed) == expected[budget], budget
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("order", SEARCH_ORDERS, ids=lambda o: f"{o.m}{o.n}")
+def test_cached_phase_tables_rank_trials_as_the_kernel_does(order, seed):
+    # Restarts with 1..8 atoms, some weights below the step (so a -step
+    # trial clips them to 0), steps from 2 down to the floor, and sweeps
+    # entered at every position.  Restart 0, one atom at step 2 from the
+    # start of its sweep, has a -step weight trial without a projection.
+    rng = np.random.default_rng(seed)
+    restarts = 4 * MAX_ATOMS
+    counts = np.arange(restarts) % MAX_ATOMS + 1
+    weights, angles = atom_rows(rng.random((restarts, 2 * MAX_ATOMS)), counts)
+    tiny = (rng.random(weights.shape) < 0.3) & (weights > 0)
+    weights, _ = project_simplex(np.where(tiny, 1e-9 * weights, weights))
+    steps = np.array([2.0, 0.25, 1e-3, starlike.SEARCH_STEP_FLOOR])
+    step = steps[rng.integers(0, len(steps), restarts)]
+    pos = rng.integers(0, 4 * counts)
+    step[counts == 1] = 0.25
+    step[0], pos[0] = 2.0, 0
+    cos, sin = phase_table(angles, order.top_coefficient - 1)
+    rows = np.flatnonzero((rng.random(restarts) < 0.8) | (np.arange(restarts) == 0))
+    owner, j, tw, ta, tc, ts = starlike._sweep_trials(
+        weights, angles, cos, sin, counts, step, pos, rows
+    )
+    on_w = j // 2 < counts[owner]
+    assert on_w.any() and (~on_w).any() and (tw[on_w] == 0).sum() > (weights[owner][on_w] == 0).sum()
+    assert len(owner) == (4 * counts[rows] - pos[rows]).sum() - 1  # restart 0's -step weight trial
+    table = phase_table(ta, order.top_coefficient - 1)
+    assert (tc == table[0]).all() and (ts == table[1]).all()
+    assert (table_values(tw, tc, ts, order) == zalcman_values(tw, ta, order)).all()

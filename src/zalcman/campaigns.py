@@ -61,7 +61,7 @@ from .mappings import (
     zalcman_nd,
     zalcman_rows,
 )
-from .starlike import ZalcmanOrder, search_extremal, zalcman_values
+from .starlike import MAX_BUDGET, ZalcmanOrder, search_extremal, zalcman_values
 
 DEFAULT_TOLERANCE = 1e-9
 
@@ -440,8 +440,8 @@ def _validate(cfg: CampaignConfig) -> SpaceSpec | None:
             ZalcmanOrder(*cfg.order)
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
-    if cfg.campaign == "search" and cfg.budget < 0:
-        raise UsageError("budget must be >= 0")
+    if cfg.campaign == "search" and not 0 <= cfg.budget <= MAX_BUDGET:
+        raise UsageError(f"budget must be between 0 and {MAX_BUDGET}")
     if cfg.campaign in _ND_CAMPAIGNS:
         if cfg.dim < 2:
             raise UsageError(f"campaign {cfg.campaign!r} needs dim >= 2")

@@ -86,27 +86,45 @@ def check_atoms(weights: np.ndarray, angles: np.ndarray) -> None:
         raise ValueError(f"atom weights sum to {total[off][0]}, expected 1")
 
 
-def phase_table(angles: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
+def phase_table(angles: np.ndarray, count: int) -> np.ndarray:
     """cos(k theta) and sin(k theta) for k = 1..count at every atom of every
-    row of ``angles``, each a (rows, count, atoms) array.
+    row of ``angles``, as one atom-major (atoms, 2 count, rows) table:
+    entry [i, k - 1, r] is cos(k angles[r, i]) and [i, count + k - 1, r]
+    is sin(k angles[r, i]).
 
-    Entry [r, k - 1, i] depends on angles[r, i] alone, so a table whose
-    column i is recomputed from a single angle equals the table of the
-    whole row bit for bit.
+    Atom-major so that ``table_moments`` adds whole contiguous atom slabs
+    and a batch of rows is a gather along the last axis.  Entry [i, :, r]
+    depends on angles[r, i] alone, so a table whose column is recomputed
+    from a single angle equals the table of the whole row bit for bit.
     """
-    phase = np.arange(1, count + 1)[:, None] * angles[:, None, :]
-    return np.cos(phase), np.sin(phase)
+    phase = np.arange(1, count + 1)[:, None] * angles.T[:, None, :]
+    table = np.empty((angles.shape[1], 2 * count, len(angles)))
+    np.cos(phase, out=table[:, :count])
+    np.sin(phase, out=table[:, count:])
+    return table
 
 
-def table_moments(weights: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
+def table_moments(weights: np.ndarray, table: np.ndarray) -> np.ndarray:
     """Moments p_k = 2 sum_i w_i (cos(k theta_i) - i sin(k theta_i)) of every
-    row from its weights and phase table (see ``phase_table``), as a
-    (rows, count) complex array."""
-    w = weights[:, None, :]
-    p = np.empty(cos.shape[:2], dtype=complex)
-    p.real = 2.0 * (w * cos).sum(axis=-1)
-    p.imag = -2.0 * (w * sin).sum(axis=-1)
-    return p
+    row from its (rows, MAX_ATOMS) weights and its phase table (see
+    ``phase_table``), as a (rows, count) view of a (count, rows) array.
+
+    The eight atom slabs are added as ((a0 + a1) + (a2 + a3)) + ((a4 + a5)
+    + (a6 + a7)), the order in which numpy's pairwise sum adds eight terms.
+    The reports were built with numpy's sum over the atoms, so this order
+    keeps every moment equal to it under == (numpy starts from +0.0, so
+    only the sign of a sum of eight negative zeros can differ, which no
+    modulus shows), without numpy's per-row cost of reducing a short axis.
+    """
+    # Atom-major weights make the broadcast multiply read them contiguously.
+    terms = table * np.ascontiguousarray(weights.T)[:, None, :]
+    while len(terms) > 1:
+        terms = terms[0::2] + terms[1::2]
+    count = table.shape[1] // 2
+    p = np.empty((count, table.shape[2]), dtype=complex)
+    np.multiply(terms[0, :count], 2.0, out=p.real)
+    np.multiply(terms[0, count:], -2.0, out=p.imag)
+    return p.T
 
 
 def batch_moments(weights: np.ndarray, angles: np.ndarray, count: int) -> np.ndarray:
@@ -115,7 +133,7 @@ def batch_moments(weights: np.ndarray, angles: np.ndarray, count: int) -> np.nda
     ``weights`` and ``angles`` are (rows, MAX_ATOMS) arrays whose padding
     atoms have weight 0 and angle 0, so they add exact zeros.
     """
-    return table_moments(weights, *phase_table(angles, count))
+    return table_moments(weights, phase_table(angles, count))
 
 
 def batch_margins(
@@ -123,12 +141,12 @@ def batch_margins(
 ) -> np.ndarray:
     """(rows, 3) array of the margins m1, m2, m3 (see CaratheodoryMargins),
     with m1 taken over p_1..p_order.  A NaN input gives NaN margins."""
-    p = batch_moments(weights, angles, max(order, 3))
-    margins = np.empty((len(p), 3))
-    margins[:, 0] = 2.0 - modulus(p[:, :order]).max(axis=1)
-    margins[:, 1] = 2.0 - modulus(p[:, 1] - p[:, 0] * p[:, 0])
-    margins[:, 2] = 2.0 - modulus(p[:, 2] - p[:, 0] * p[:, 1])
-    return margins
+    p = batch_moments(weights, angles, max(order, 3)).T
+    margins = np.empty((3, p.shape[1]))
+    margins[0] = 2.0 - modulus(p[:order]).max(axis=0)
+    margins[1] = 2.0 - modulus(p[1] - p[0] * p[0])
+    margins[2] = 2.0 - modulus(p[2] - p[0] * p[1])
+    return margins.T
 
 
 @dataclass(frozen=True)

@@ -37,6 +37,8 @@ MAX_COEFF_ORDER = DEFAULT_ORDER
 SEARCH_STEP_START = 0.25
 SEARCH_STEP_FLOOR = 1e-7
 SEARCH_RESTARTS = 20
+# Evaluation counts are int64 arrays, so a budget must fit in one.
+MAX_BUDGET = 2**63 - 1
 
 # Restart r of the search draws its start from draws SEARCH_DRAW_START ..
 # SEARCH_DRAW_START + 2 MAX_ATOMS - 1 of index r, past those of the
@@ -91,14 +93,40 @@ class ZalcmanOrder:
         return self.m + self.n - 1
 
 
+def _convolution_sum(terms: np.ndarray) -> np.ndarray:
+    """terms[0] + ... + terms[-1] for 1 to 7 rows of terms, added in the
+    order numpy's sum over a contiguous axis of that many complex numbers
+    adds them: left to right for up to 3, else (x0 + x1) + (x2 + x3) and
+    then the rest left to right.  numpy's sum starts from +0.0, so the two
+    can differ only in the sign of a zero part."""
+    if len(terms) >= 4:
+        pair = terms[0:4:2] + terms[1:4:2]
+        total, rest = pair[0] + pair[1], terms[4:]
+    else:
+        total, rest = terms[0], terms[1:]
+    for term in rest:
+        total = total + term
+    return total
+
+
 def batch_coeffs(p: np.ndarray, order: int) -> np.ndarray:
-    """Coefficients a_1..a_order of every row of moments p_1..p_{order-1},
-    as a (rows, order) complex array, by the convolution recurrence."""
-    a = np.zeros((len(p), order), dtype=complex)
-    a[:, 0] = 1.0
+    """Coefficients a_1..a_order of every row of moments p_1..p_{order-1}
+    (rows, order - 1 or more), as a (rows, order) view of an (order, rows)
+    array, by the convolution recurrence.
+
+    The recurrence runs coefficient-major, so each step works on whole
+    contiguous rows, and each convolution sum is written out in the order
+    numpy's sum(axis=1) over the (rows, n - 1) terms adds them (see
+    ``_convolution_sum``).  The reports were built with that sum, so every
+    coefficient stays equal to it under ==, without numpy's per-row cost
+    of reducing a short axis.
+    """
+    p = p.T
+    a = np.empty((order, p.shape[1]), dtype=complex)
+    a[0] = 1.0
     for n in range(2, order + 1):
-        a[:, n - 1] = (p[:, : n - 1] * a[:, n - 2 :: -1]).sum(axis=1) / (n - 1)
-    return a
+        np.divide(_convolution_sum(p[: n - 1] * a[n - 2 :: -1]), n - 1, out=a[n - 1])
+    return a.T
 
 
 def batch_zalcman(a: np.ndarray, order: ZalcmanOrder) -> np.ndarray:
@@ -106,20 +134,19 @@ def batch_zalcman(a: np.ndarray, order: ZalcmanOrder) -> np.ndarray:
     return a[:, order.m - 1] * a[:, order.n - 1] - a[:, order.top_coefficient - 1]
 
 
-def table_values(
-    weights: np.ndarray, cos: np.ndarray, sin: np.ndarray, order: ZalcmanOrder
-) -> np.ndarray:
-    """|J_{m,n}| of every row from its weights and its phase table of
-    p_1..p_{m+n-2} (see ``herglotz.phase_table``)."""
-    top = order.top_coefficient
-    a = batch_coeffs(table_moments(weights, cos, sin), top)
+def table_values(weights: np.ndarray, table: np.ndarray, order: ZalcmanOrder) -> np.ndarray:
+    """|J_{m,n}| of every row from its (rows, MAX_ATOMS) weights and its
+    atom-major phase table of p_1..p_{m+n-2} (see ``herglotz.phase_table``),
+    through ``table_moments`` and ``batch_coeffs``, whose written-out sums
+    keep every value equal to numpy's reductions under ==."""
+    a = batch_coeffs(table_moments(weights, table), order.top_coefficient)
     return modulus(batch_zalcman(a, order))
 
 
 def zalcman_values(weights: np.ndarray, angles: np.ndarray, order: ZalcmanOrder) -> np.ndarray:
     """|J_{m,n}| of every row of padded atom arrays, through the kernel;
     each entry equals abs(zalcman_J(coeffs_from_p(row measure), order))."""
-    return table_values(weights, *phase_table(angles, order.top_coefficient - 1), order)
+    return table_values(weights, phase_table(angles, order.top_coefficient - 1), order)
 
 
 def _check_order(order: int) -> None:
@@ -162,14 +189,15 @@ class SearchResult(NamedTuple):
 
 
 def project_simplex(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Every row of weights clipped to the nonnegative orthant and
-    renormalized onto the simplex, and a mask of the rows that have a
-    projection (a positive clipped sum); the other rows come back clipped."""
-    clipped = np.maximum(weights, 0.0)
-    total = clipped.sum(axis=1)
+    """Every row of ``weights`` clipped to the nonnegative orthant and
+    renormalized onto the simplex, in place, and a mask of the rows that
+    have a projection (a positive clipped sum); the other rows are left
+    clipped.  Returns (weights, mask)."""
+    np.maximum(weights, 0.0, out=weights)
+    total = weights.sum(axis=1)
     ok = total > 0.0
-    np.divide(clipped, total[:, None], out=clipped, where=ok[:, None])
-    return clipped, ok
+    np.divide(weights, total[:, None], out=weights, where=ok[:, None])
+    return weights, ok
 
 
 def search_starts(seed: int, restarts: int, max_atoms: int = MAX_ATOMS):
@@ -185,41 +213,71 @@ def search_starts(seed: int, restarts: int, max_atoms: int = MAX_ATOMS):
     return (*atom_rows(u, counts), counts)
 
 
-def _sweep_trials(weights, angles, cos, sin, counts, step, pos, rows):
-    """The trials left in the current sweep of each restart in ``rows``, as
-    (restart, sweep position, weights, angles, cos, sin), grouped by restart
-    in sweep order.
+class _Slots(NamedTuple):
+    """Every trial of a full sweep of every restart, one entry per trial, in
+    restart order and then sweep order."""
+
+    owner: np.ndarray  # restart that makes the trial
+    position: np.ndarray  # place of the trial in its restart's sweep
+    sign: np.ndarray  # +1.0 or -1.0: the trial moves its coordinate by sign * step
+    on_weight: np.ndarray  # True for a weight trial, False for an angle trial
+    column: np.ndarray  # atom whose weight or angle the trial moves
+
+
+def _sweep_slots(counts: np.ndarray) -> _Slots:
+    """The sweep slots of restarts with ``counts`` atoms.
 
     Position 2 i tries +step and 2 i + 1 tries -step on coordinate i:
-    weights 0..k-1, then angles k..2k-1.  Weight trials are projected onto
-    the simplex, those without a projection left out, and keep their
-    restart's phase table (cos, sin); an angle trial recomputes only the
-    column of the angle it moves.  So every trial's table is
+    weights 0..k-1, then angles k..2k-1, so a restart with k atoms has 4 k
+    slots.
+    """
+    owner = np.repeat(np.arange(len(counts)), 4 * counts)
+    position = np.arange(len(owner)) - np.repeat(np.cumsum(4 * counts) - 4 * counts, 4 * counts)
+    coord, k = position // 2, counts[owner]
+    on_weight = coord < k
+    sign = 1.0 - 2.0 * (position % 2)
+    return _Slots(owner, position, sign, on_weight, np.where(on_weight, coord, coord - k))
+
+
+def _sweep_trials(slots, running, pos, step, weights, angles, table):
+    """The trials left in the current sweep of each running restart, as
+    (restart, sweep position, weights, angles, phase table), grouped by
+    restart in sweep order.
+
+    The trials are the slots (see ``_sweep_slots``) of running restarts at
+    or after their restart's sweep position ``pos``, selected with one
+    mask.  Each trial starts from its restart's weights, angles and
+    atom-major phase table (see ``herglotz.phase_table``), gathered along
+    the row axis.  A weight trial is projected onto the simplex in place,
+    and left out when it has no projection; it keeps its restart's table.
+    An angle trial recomputes only the column of the angle it moves.  So every trial's table is
     ``phase_table`` of its angles bit for bit, and ``table_values`` ranks
     it as ``zalcman_values`` would.
     """
-    n = 4 * counts[rows] - pos[rows]
-    owner = np.repeat(rows, n)
-    j = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n - pos[rows], n)
-    coord = j // 2
-    delta = step[owner] * (1 - 2 * (j % 2))
-    k = counts[owner]
-    tw, ta, tc, ts = weights[owner], angles[owner], cos[owner], sin[owner]
-    on_w = coord < k
-    iw = np.flatnonzero(on_w)
-    tw[iw, coord[iw]] += delta[iw]
-    tw[iw], ok = project_simplex(tw[iw])
-    i = np.flatnonzero(~on_w)
-    col = coord[i] - k[i]
-    ta[i, col] += delta[i]
-    c, s = phase_table(ta[i, col, None], cos.shape[1])
-    at = (i[:, None], np.arange(cos.shape[1]), col[:, None])
-    tc[at], ts[at] = c[:, :, 0], s[:, :, 0]
+    pick = (running.take(slots.owner) & (slots.position >= pos.take(slots.owner))).nonzero()[0]
+    owner, col, on_w = slots.owner.take(pick), slots.column.take(pick), slots.on_weight.take(pick)
+    delta = step.take(owner) * slots.sign.take(pick)
+    tw, ta = weights.take(owner, axis=0), angles.take(owner, axis=0)
+    # The trials are grouped by restart, so repeating each restart's table
+    # column gathers them, about twice as fast as take along the last axis.
+    tt = table.repeat(np.bincount(owner, minlength=len(pos)), axis=2)
+    iw, ia = on_w.nonzero()[0], (~on_w).nonzero()[0]
+
+    w = tw.take(iw, axis=0)
+    w[np.arange(len(iw)), col.take(iw)] += delta.take(iw)
+    tw[iw], ok = project_simplex(w)
+
+    ca = col.take(ia)
+    moved = ta[ia, ca] + delta.take(ia)
+    ta[ia, ca] = moved
+    tt[ca, :, ia] = phase_table(moved[:, None], table.shape[1] // 2)[0].T
+
+    position = slots.position.take(pick)
     if ok.all():
-        return owner, j, tw, ta, tc, ts
+        return owner, position, tw, ta, tt
     keep = np.ones(len(owner), dtype=bool)
     keep[iw[~ok]] = False
-    return owner[keep], j[keep], tw[keep], ta[keep], tc[keep], ts[keep]
+    return owner[keep], position[keep], tw[keep], ta[keep], tt[:, :, keep]
 
 
 def search_extremal(
@@ -242,30 +300,32 @@ def search_extremal(
     The restarts (``search_starts``) advance together: each round ranks the
     rest of every running restart's sweep in one ``table_values`` batch,
     accepts each restart's first improving trial and drops the trials after
-    it, to be issued again from the new state in the next round.  Each
-    restart keeps the phase table of its current angles, replaced only on
+    it, to be issued again from the new state in the next round.  The sweep
+    slots of all restarts are built once per search (``_sweep_slots``), and
+    a round selects its trials from them with one mask.  Each restart keeps
+    the atom-major phase table of its current angles, replaced only on
     acceptance, so a round computes trig only for the one angle column of
     each angle trial (see ``_sweep_trials``), and every |J| it ranks equals
     ``zalcman_values`` of the trial's row bit for bit.  The result is that
     of running the restarts one after another.  ``budget`` caps the
-    evaluated trials (skipped ones do not count; the starts are free, so
-    budget 0 reports the best start): restart r may evaluate ``budget``
-    minus what restarts 0..r-1 evaluated.  The best candidate is the first
+    evaluated trials, at most MAX_BUDGET (skipped ones do not count; the
+    starts are free, so budget 0 reports the best start): restart r may
+    evaluate ``budget`` minus what restarts 0..r-1 evaluated.  The best candidate is the first
     value to beat the running best by strict >, over the starts and then
     restart 0, 1, ...  So the result is deterministic in (seed, budget) and
     monotone in budget.  The reported value is the best measure's |J|
     through the batched kernel, so ``coeffs_from_p`` and ``zalcman_J``
     replay it bit for bit.
     """
-    if budget < 0:
-        raise ValueError("budget must be >= 0")
+    if not 0 <= budget <= MAX_BUDGET:
+        raise ValueError(f"budget must be between 0 and {MAX_BUDGET}")
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     if not 1 <= max_atoms <= MAX_ATOMS:
         raise ValueError(f"max_atoms must be between 1 and {MAX_ATOMS}")
     weights, angles, counts = search_starts(seed, restarts, max_atoms)
-    cos, sin = phase_table(angles, order.top_coefficient - 1)
-    current = table_values(weights, cos, sin, order)
+    table = phase_table(angles, order.top_coefficient - 1)
+    current = table_values(weights, table, order)
     first = int(np.argmax(current))
     best = (float(current[first]), weights[first].copy(), angles[first].copy(), counts[first])
 
@@ -274,6 +334,7 @@ def search_extremal(
     improved = np.zeros(restarts, dtype=bool)
     used = np.zeros(restarts, dtype=np.int64)
     running = np.full(restarts, budget > 0)
+    slots = _sweep_slots(counts)
     # Accepted trials of each round as (restart, evaluation index, value,
     # weights, angles).  A trial that beats the running best also beats its
     # restart's current value, so the best candidate is among them.
@@ -281,29 +342,29 @@ def search_extremal(
     while True:
         # What restarts 0..r-1 have evaluated so far bounds what restart r may.
         running &= used < budget - (np.cumsum(used) - used)
-        rows = np.flatnonzero(running)
-        if not rows.size:
+        if not running.any():
             break
-        owner, j, tw, ta, tc, ts = _sweep_trials(weights, angles, cos, sin, counts, step, pos, rows)
-        vals = table_values(tw, tc, ts, order)
+        owner, j, tw, ta, tt = _sweep_trials(slots, running, pos, step, weights, angles, table)
+        vals = table_values(tw, tt, order)
 
         # Each restart takes its first improving trial; the rest are dropped.
         # The trials are grouped by restart, so a hit opens its restart's run
         # of hits when the hit before it belongs to another restart.
-        hit = np.flatnonzero(vals > current[owner])
+        hit = (vals > current.take(owner)).nonzero()[0]
+        hit_owner = owner.take(hit)
         first = np.ones(hit.size, dtype=bool)
-        first[1:] = owner[hit[1:]] != owner[hit[:-1]]
+        first[1:] = hit_owner[1:] != hit_owner[:-1]
         a = hit[first]
-        won = owner[a]
+        won = hit_owner[first]
         spent = np.bincount(owner, minlength=restarts)
         spent[won] = a - np.searchsorted(owner, won) + 1
         used += spent
-        va, wa, aa = vals[a], tw[a], ta[a]
-        history.append((won, used[won] - 1, va, wa, aa))
+        va, wa, aa = vals.take(a), tw.take(a, axis=0), ta.take(a, axis=0)
+        history.append((won, used.take(won) - 1, va, wa, aa))
         weights[won], angles[won], current[won] = wa, aa, va
-        cos[won], sin[won] = tc[a], ts[a]
+        table[:, :, won] = tt.take(a, axis=2)
         improved[won] = True
-        pos[won] = j[a] + 1
+        pos[won] = j.take(a) + 1
 
         ended = running.copy()
         ended[won] = pos[won] == 4 * counts[won]

@@ -234,6 +234,14 @@ def test_cli_usage_errors_exit_with_two(capsys):
     capsys.readouterr()
 
 
+def test_cli_budgets_past_int64_are_usage_errors(capsys):
+    for budget in ("9223372036854775808", "99999999999999999999"):
+        assert main(["search", "--m", "2", "--n", "3", "--budget", budget]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: budget") and captured.err.count("\n") == 1
+
+
 def test_gradients_configs_that_cannot_sample_are_usage_errors(capsys):
     # dim^(-1/p) bounds the smallest coordinate modulus on the l1 (p = 1)
     # and lp (p < 2) spheres, so these configs are rejected before sampling.

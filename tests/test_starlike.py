@@ -125,6 +125,15 @@ def test_search_rejects_negative_budget():
         search_extremal(ZalcmanOrder(2, 3), budget=-1, seed=0)
 
 
+def test_search_takes_budgets_up_to_int64_and_rejects_larger_ones():
+    o = ZalcmanOrder(2, 3)
+    # Budget 20000 runs every restart to its step floor, as does the largest.
+    assert search_extremal(o, budget=2**63 - 1, seed=0) == search_extremal(o, budget=20000, seed=0)
+    for budget in (2**63, 10**20):
+        with pytest.raises(ValueError):
+            search_extremal(o, budget=budget, seed=0)
+
+
 def test_budget_zero_still_reports_a_start_candidate():
     result = search_extremal(ZalcmanOrder(2, 3), budget=0, seed=3)
     assert result.evaluations == 0
@@ -282,14 +291,14 @@ def test_cached_phase_tables_rank_trials_as_the_kernel_does(order, seed):
     pos = rng.integers(0, 4 * counts)
     step[counts == 1] = 0.25
     step[0], pos[0] = 2.0, 0
-    cos, sin = phase_table(angles, order.top_coefficient - 1)
-    rows = np.flatnonzero((rng.random(restarts) < 0.8) | (np.arange(restarts) == 0))
-    owner, j, tw, ta, tc, ts = starlike._sweep_trials(
-        weights, angles, cos, sin, counts, step, pos, rows
+    table = phase_table(angles, order.top_coefficient - 1)
+    running = (rng.random(restarts) < 0.8) | (np.arange(restarts) == 0)
+    slots = starlike._sweep_slots(counts)
+    owner, j, tw, ta, tt = starlike._sweep_trials(
+        slots, running, pos, step, weights, angles, table
     )
     on_w = j // 2 < counts[owner]
     assert on_w.any() and (~on_w).any() and (tw[on_w] == 0).sum() > (weights[owner][on_w] == 0).sum()
-    assert len(owner) == (4 * counts[rows] - pos[rows]).sum() - 1  # restart 0's -step weight trial
-    table = phase_table(ta, order.top_coefficient - 1)
-    assert (tc == table[0]).all() and (ts == table[1]).all()
-    assert (table_values(tw, tc, ts, order) == zalcman_values(tw, ta, order)).all()
+    assert len(owner) == (4 * counts[running] - pos[running]).sum() - 1  # restart 0's -step weight trial
+    assert (tt == phase_table(ta, order.top_coefficient - 1)).all()
+    assert (table_values(tw, tt, order) == zalcman_values(tw, ta, order)).all()

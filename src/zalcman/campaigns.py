@@ -193,18 +193,6 @@ def violation_rows(margins: np.ndarray, tolerance: float) -> np.ndarray:
     return np.flatnonzero(~(margins >= -tolerance))
 
 
-def _worst(residuals) -> float:
-    """The largest residual, or NaN if any residual is NaN (``max`` would
-    skip a NaN that is not first)."""
-    top = -math.inf
-    for r in residuals:
-        if r != r:
-            return math.nan
-        if r > top:
-            top = r
-    return top
-
-
 def _run_caratheodory(cfg: CampaignConfig, _space):
     margins = np.concatenate(
         [batch_margins(w, a).min(axis=1) for _, w, a in sample_blocks(cfg.seed, cfg.samples)]
@@ -267,9 +255,11 @@ def _lifted_blocks(cfg: CampaignConfig, space: SpaceSpec):
         yield lams, covs, z
 
 
-def _run_lifted_bound(cfg: CampaignConfig, space: SpaceSpec, mode: str):
+def _run_lifted_bound(cfg: CampaignConfig, space: SpaceSpec):
+    """|A2 A3 - A4| of sampled maps and points, for ball and domain alike:
+    both normalizations reduce to the closed form of ``zalcman_rows``."""
     values = np.concatenate(
-        [zalcman_rows(space, lams, covs, z, mode)[1] for lams, covs, z in _lifted_blocks(cfg, space)]
+        [zalcman_rows(space, lams, covs, z)[1] for lams, covs, z in _lifted_blocks(cfg, space)]
     )
 
     def witness(i):
@@ -277,14 +267,6 @@ def _run_lifted_bound(cfg: CampaignConfig, space: SpaceSpec, mode: str):
         return {"index": i, "spec": spec.to_json(), "z": _complex_list(z), "value": float(values[i])}
 
     return values, 2.0 - values, witness, 2.0, None
-
-
-def _run_ball(cfg, space):
-    return _run_lifted_bound(cfg, space, "ball")
-
-
-def _run_domain(cfg, space):
-    return _run_lifted_bound(cfg, space, "domain")
 
 
 def _gradient_residuals(space: SpaceSpec, z: np.ndarray, theta: np.ndarray) -> np.ndarray:
@@ -381,11 +363,12 @@ def _run_sharpness(cfg: CampaignConfig, space: SpaceSpec):
     zd = 0.75 * (u if space.kind == "sup" else np.eye(space.dim, dtype=complex)[0])
     checks = [
         ("ball", fv.values, fv.zalcman),
-        ("domain", *closed_form_values(make_extremal_domain(space, 1.0), zd, rho(space, zd))),
+        ("domain", *closed_form_values(make_extremal_domain(space), zd, rho(space, zd))),
     ]
 
+    # np.max, unlike max, returns NaN when any residual is NaN.
     defects = [
-        _worst((abs(vals[0] - 2.0), abs(vals[1] - 3.0), abs(vals[2] - 4.0), abs(zalc - 2.0)))
+        float(np.max((abs(vals[0] - 2.0), abs(vals[1] - 3.0), abs(vals[2] - 4.0), abs(zalc - 2.0))))
         for _, vals, zalc in checks
     ]
 
@@ -415,8 +398,8 @@ def _run_search(cfg: CampaignConfig, _space):
 _RUNNERS = {
     "caratheodory": _run_caratheodory,
     "zalcman1d": _run_zalcman1d,
-    "ball": _run_ball,
-    "domain": _run_domain,
+    "ball": _run_lifted_bound,
+    "domain": _run_lifted_bound,
     "gradients": _run_gradients,
     "reduction": _run_reduction,
     "sharpness": _run_sharpness,

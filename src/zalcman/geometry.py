@@ -12,14 +12,16 @@ ties for sup, coordinate zeros for ell^1 and 1 < p < 2).  Gradients are
 validated elsewhere against central finite differences of rho on R^{2n}
 with the convention d/dz = (d/dx - i d/dy)/2.
 
-The gauge, the distance to E and the dual norm take one vector or an array
-of vectors along its last axis, such as the (rows, atoms, dim) covectors
-of a batch of lifted maps; the covector, gradient and finite-difference
-kernels take (rows, dim) arrays, and ``support_covector``,
-``minkowski_gradient`` and ``wirtinger_fd_gradient`` are batch-of-one
-calls into them.  The samplers turn uniforms into points, drawn either
-from the counter-based stream of ``herglotz.uniforms`` or from a numpy
-Generator, through the same transform.
+The gauge and the dual norm are one kernel, ``_norm_rows``: the dual of
+ell^p is ell^q with q = p/(p-1), and the sup and ell^1 norms are dual to
+each other.  The gauge, the distance to E and the dual norm take one
+vector or an array of vectors along its last axis, such as the
+(rows, atoms, dim) covectors of a batch of lifted maps; the covector,
+gradient and finite-difference kernels take (rows, dim) arrays, and
+``support_covector``, ``minkowski_gradient`` and ``wirtinger_fd_gradient``
+are batch-of-one calls into them.  The samplers turn uniforms into points,
+drawn either from the counter-based stream of ``herglotz.uniforms`` or
+from a numpy Generator, through the same transform.
 """
 
 from __future__ import annotations
@@ -107,9 +109,6 @@ class Covector:
     def __post_init__(self):
         object.__setattr__(self, "entries", tuple(complex(c) for c in self.entries))
 
-    def __call__(self, w) -> complex:
-        return complex(pair(np.array([self.entries]), _as_vec(w)[None])[0])
-
     def scale(self, t: complex) -> "Covector":
         return Covector(tuple(t * c for c in self.entries))
 
@@ -148,16 +147,35 @@ def _shaped(values: np.ndarray, lead: tuple):
     return float(values[0]) if lead == () else values.reshape(lead)
 
 
+def _norm_rows(v: np.ndarray, kind: str, p: float | None) -> np.ndarray:
+    """The p-norm ("lp"), largest entry ("sup") or sum ("l1") of every row
+    of a (rows, dim) array of moduli.
+
+    When a power sum leaves the normal range [tiny, inf) (a subnormal sum
+    keeps only a few significant bits), its row factors out its largest
+    entry; a zero, infinite or NaN largest entry is the norm itself.
+    """
+    if kind == "sup":
+        return v.max(axis=1)
+    if kind == "l1":
+        return v.sum(axis=1)
+    total = np.sum(v ** p, axis=1)
+    norm = total ** (1.0 / p)
+    if total.size and not (_FLOAT_TINY <= total.min() and total.max() < math.inf):
+        off = ~((_FLOAT_TINY <= total) & (total < math.inf))
+        top = v[off].max(axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            scaled = top * np.sum((v[off] / top[:, None]) ** p, axis=1) ** (1.0 / p)
+        norm[off] = np.where((top == 0.0) | ~np.isfinite(top), top, scaled)
+    return norm
+
+
 def rho(space: SpaceSpec, z):
     """The gauge of z: p-norm, max modulus, or sum of moduli.  A single
     vector gives a float, an array of vectors an array of its leading
     shape."""
     v, lead = _moduli(space, z)
-    if space.kind == "lp":
-        return _shaped(np.sum(v ** space.p, axis=1) ** (1.0 / space.p), lead)
-    if space.kind == "sup":
-        return _shaped(v.max(axis=1), lead)
-    return _shaped(v.sum(axis=1), lead)
+    return _shaped(_norm_rows(v, space.kind, space.p), lead)
 
 
 def exceptional_distance(space: SpaceSpec, z):
@@ -197,14 +215,23 @@ def support_rows(space: SpaceSpec, v: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Entries of the canonical support functional l_z of every row of a
     (rows, dim) array already checked off E, given its gauges r.
 
-    lp:  rho^{1-p} |z_i|^{p-2} conj(z_i)   (0 for z_i = 0, p > 2);
+    lp:  rho^{1-p} |z_i|^{p-2} conj(z_i)   (0 for z_i = 0, p > 2), as
+         (|z_i|/rho)^{p-2} conj(z_i)/rho in the rows where rho^{1-p}
+         overflows;
     sup: conj(z_j)/|z_j| at the unique maximizing index j;
     l1:  conj(z_i)/|z_i| in every coordinate.
     """
     mods = np.abs(v)
     if space.kind == "lp":
-        with np.errstate(divide="ignore", invalid="ignore"):
-            entries = r[:, None] ** (1.0 - space.p) * mods ** (space.p - 2.0) * np.conj(v)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            scale = r ** (1.0 - space.p)
+            entries = scale[:, None] * mods ** (space.p - 2.0) * np.conj(v)
+            big = ~np.isfinite(scale)
+            if big.any():
+                # rho^{1-p} overflows at large p; scale each coordinate by
+                # rho first, which keeps the product finite.
+                rb = r[big, None]
+                entries[big] = (mods[big] / rb) ** (space.p - 2.0) * np.conj(v[big]) / rb
         return np.where(mods > 0.0, entries, 0.0)
     if space.kind == "sup":
         rows, j = np.arange(len(v)), np.argmax(mods, axis=1)
@@ -232,32 +259,21 @@ def minkowski_gradient(space: SpaceSpec, z) -> Covector:
     return Covector(tuple(gradient_rows(space, _as_vec(z)[None])[0].tolist()))
 
 
+# The dual norm family of each gauge family.
+_DUAL_KIND = {"lp": "lp", "sup": "l1", "l1": "sup"}
+
+
 def dual_norm(space: SpaceSpec, b):
     """Operator norm of the functional w -> sum b_i w_i on the gauge ball;
     ``b`` is a Covector, one entry sequence, or an array of them along its
-    last axis."""
+    last axis.  It is the gauge of the dual family: ell^q with
+    q = p/(p-1) for ell^p, ell^1 for sup, sup for ell^1."""
     entries = np.abs(_as_vec(b.entries if isinstance(b, Covector) else b))
     if entries.ndim == 0 or entries.shape[-1] != space.dim:
         raise ValueError(f"expected covectors of length {space.dim}")
-    lead = entries.shape[:-1]
-    entries = entries.reshape(-1, entries.shape[-1])
-    if space.kind == "lp":
-        q = space.p / (space.p - 1.0)
-        total = np.sum(entries ** q, axis=1)
-        norm = total ** (1.0 / q)
-        off = ~((_FLOAT_TINY <= total) & (total < math.inf))
-        if off.any():
-            # The power sum left the normal range (subnormal sums keep only a
-            # few significant bits), so factor out the largest entry.  A zero,
-            # infinite or NaN largest entry is the norm itself.
-            top = entries[off].max(axis=1)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                scaled = top * np.sum((entries[off] / top[:, None]) ** q, axis=1) ** (1.0 / q)
-            norm[off] = np.where((top == 0.0) | ~np.isfinite(top), top, scaled)
-        return _shaped(norm, lead)
-    if space.kind == "sup":
-        return _shaped(entries.sum(axis=1), lead)
-    return _shaped(entries.max(axis=1), lead)
+    q = space.p / (space.p - 1.0) if space.kind == "lp" else None
+    norms = _norm_rows(entries.reshape(-1, space.dim), _DUAL_KIND[space.kind], q)
+    return _shaped(norms, entries.shape[:-1])
 
 
 def norming_rows(space: SpaceSpec, b: np.ndarray) -> np.ndarray:
@@ -282,15 +298,16 @@ def norming_rows(space: SpaceSpec, b: np.ndarray) -> np.ndarray:
     return z / rho(space, z)[:, None]
 
 
-def fd_gradient_rows(space: SpaceSpec, z: np.ndarray, step: float = 1e-5) -> np.ndarray:
+def fd_gradient_rows(space: SpaceSpec, z: np.ndarray) -> np.ndarray:
     """Central finite differences of rho on R^{2n} at every row of a
     (rows, dim) array, recombined as (d/dx - i d/dy)/2.
 
     Independent of the closed forms above; only valid where rho is smooth
-    across the whole stencil, so keep z well clear of E relative to ``step``.
-    Coordinate i evaluates rho once on the (rows, 4, dim) stencil
-    z +- step e_i, z +- i step e_i.
+    across the whole stencil, so keep z well clear of E relative to the
+    step 1e-5.  Coordinate i evaluates rho once on the (rows, 4, dim)
+    stencil z +- step e_i, z +- i step e_i.
     """
+    step = 1e-5
     offsets = np.array([step, -step, 1j * step, -1j * step])
     out = np.empty(z.shape, dtype=complex)
     for i in range(space.dim):
@@ -304,9 +321,9 @@ def fd_gradient_rows(space: SpaceSpec, z: np.ndarray, step: float = 1e-5) -> np.
     return out
 
 
-def wirtinger_fd_gradient(space: SpaceSpec, z, step: float = 1e-5) -> Covector:
+def wirtinger_fd_gradient(space: SpaceSpec, z) -> Covector:
     """Finite-difference Wirtinger gradient at z (see ``fd_gradient_rows``)."""
-    return Covector(tuple(fd_gradient_rows(space, _as_vec(z)[None], step)[0].tolist()))
+    return Covector(tuple(fd_gradient_rows(space, _as_vec(z)[None])[0].tolist()))
 
 
 # A uniform source for the samplers: draw(rows, start, count) returns the

@@ -12,19 +12,19 @@ order, so nothing is lost for the degree-7 functionals computed here.
 
 Batches of measures are (rows, MAX_ATOMS) arrays of weights and angles,
 padded with weight-0, angle-0 atoms.  The sampler, the moments and the
-margins work on whole batches; the methods of ``HerglotzMeasure`` and
-``sample_measure`` are batch-of-one calls into the same functions.
+margins work on whole batches; ``HerglotzMeasure.coefficient``,
+``HerglotzMeasure.margins`` and ``sample_measure`` are batch-of-one calls
+into the same functions.
 """
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .series import DEFAULT_ORDER, TruncatedSeries
+from .series import DEFAULT_ORDER
 
 MAX_ATOMS = 8
 
@@ -188,23 +188,6 @@ class HerglotzMeasure:
             raise ValueError("coefficients are indexed from 1")
         return complex(batch_moments(*self.padded(), n)[0, -1])
 
-    def series(self, order: int = DEFAULT_ORDER) -> TruncatedSeries:
-        """The truncated Taylor series of p, with constant term 1."""
-        p = batch_moments(*self.padded(), order)[0]
-        return TruncatedSeries((1 + 0j,) + tuple(p.tolist()))
-
-    def evaluate(self, zeta: complex) -> complex:
-        """Exact rational evaluation of p(zeta) on the open disk."""
-        acc = 0j
-        for w, t in self.atoms:
-            u = zeta * cmath.exp(-1j * t)
-            acc += w * (1 + u) / (1 - u)
-        return acc
-
-    def rotated(self, phi: float) -> "HerglotzMeasure":
-        """Shift every atom angle by ``phi`` (rotates f(z) to e^{-i phi} f(e^{i phi} z))."""
-        return HerglotzMeasure(tuple((w, t + phi) for w, t in self.atoms))
-
     def margins(self, order: int = DEFAULT_ORDER) -> CaratheodoryMargins:
         """Margins of the coefficient inequalities |p_n| <= 2,
         |p_2 - p_1^2| <= 2 and |p_3 - p_1 p_2| <= 2."""
@@ -251,22 +234,18 @@ def uniforms(seed: int, indices, draws: int, start: int = 0) -> np.ndarray:
     return ((bits >> 12).astype(np.float64) + 0.5) * 2.0**-52
 
 
-def sample_batch(
-    seed: int, indices, max_atoms: int = MAX_ATOMS
-) -> tuple[np.ndarray, np.ndarray]:
+def sample_batch(seed: int, indices) -> tuple[np.ndarray, np.ndarray]:
     """Measures of the given sample indices as zero-padded atom arrays.
 
     Returns (weights, angles), each (len(indices), MAX_ATOMS).  Row r has an
-    atom count uniform in [1, max_atoms] in its leading columns: weights
+    atom count uniform in [1, MAX_ATOMS] in its leading columns: weights
     flat on the simplex (normalized iid exponentials), so all of them are
     positive, and angles uniform in [0, 2 pi).  The remaining columns are
     padding atoms with weight 0 and angle 0.
     """
-    if not 1 <= max_atoms <= MAX_ATOMS:
-        raise ValueError(f"max_atoms must be between 1 and {MAX_ATOMS}")
     u = uniforms(seed, indices, SAMPLE_DRAWS)
-    # u < 1, but u * max_atoms can still round up to max_atoms.
-    count = np.minimum((u[:, 0] * max_atoms).astype(np.int64), max_atoms - 1) + 1
+    # u < 1, but u * MAX_ATOMS can still round up to MAX_ATOMS.
+    count = np.minimum((u[:, 0] * MAX_ATOMS).astype(np.int64), MAX_ATOMS - 1) + 1
     weights, angles = atom_rows(u[:, 1:], count)
     check_atoms(weights, angles)
     return weights, angles
@@ -297,11 +276,11 @@ def sample_blocks(seed: int, count: int, block: int = SAMPLE_BLOCK):
         yield first, weights, angles
 
 
-def sample_measure(seed: int, index: int = 0, max_atoms: int = MAX_ATOMS) -> HerglotzMeasure:
+def sample_measure(seed: int, index: int = 0) -> HerglotzMeasure:
     """Measure of sample ``index`` under ``seed``: row 0 of a batch of one.
 
     The same measure ``sample_batch(seed, [..., index, ...])`` returns in
     that index's row, atom for atom.
     """
-    weights, angles = sample_batch(seed, [index], max_atoms)
+    weights, angles = sample_batch(seed, [index])
     return HerglotzMeasure.from_row(weights[0], angles[0])

@@ -11,16 +11,20 @@ which always has positive real part, certifying starlikeness of F.  The
 order-k coefficient functionals (the support-functional or gauge-gradient
 pairings of D^k F(0)(z^k)/k!, normalized by the k-th gauge power) collapse
 to f_{k-1}(z)/rho(z)^{k-1} through the degree-(k-1) homogeneous part of f,
-and the degree-4 combination |A2 A3 - A4| never exceeds 2, with equality
-on the Koebe-type maps built by ``make_extremal_ball`` and
+so both normalizations, the unit ball's and the circular domain's, are
+evaluated by that one closed form (``zalcman_rows``); the pairings
+themselves (``pairing_rows``, ``functional_A``, ``functional_B``) only
+cross-check it.  The degree-4 combination |A2 A3 - A4| never exceeds 2,
+with equality on the Koebe-type maps built by ``make_extremal_ball`` and
 ``make_extremal_domain``.
 
 Batches of maps are padded arrays: weights (rows, atoms) and covectors
 (rows, atoms, dim), whose padding atoms have weight 0 and covector 0.  The
 sampler, the homogeneous parts, the functionals and the reduction check
 work on whole batches; ``hom_parts``, ``closed_form_values``,
-``zalcman_nd``, ``restrict_h``, ``reduction_crosscheck`` and
-``sample_lifted_spec`` are batch-of-one calls into the same functions.
+``zalcman_nd``, ``functional_A``, ``functional_B``, ``restrict_h``,
+``reduction_crosscheck`` and ``sample_lifted_spec`` are batch-of-one calls
+into the same functions.
 """
 
 from __future__ import annotations
@@ -91,8 +95,8 @@ class LiftedMapSpec:
 
     Weights are finite, nonnegative and sum to 1, and covector entries are
     finite, which makes F(z) = z f(z) starlike whenever every functional
-    maps the domain into the unit disk; check the dual-norm side against a
-    concrete gauge with ``validate_for``.
+    maps the domain into the unit disk; ``starlikeness_scan`` checks the
+    dual-norm side against a concrete gauge.
     """
 
     atoms: tuple[Atom, ...]
@@ -117,13 +121,6 @@ class LiftedMapSpec:
         """Weights (1, W) and covectors (1, W, dim), W = max(SPEC_ATOMS,
         atoms), padded with zero atoms: the layout of a sampled batch."""
         return _padded(self)
-
-    def validate_for(self, space: SpaceSpec) -> None:
-        """Check every functional has dual norm <= 1 on the given gauge;
-        a NaN dual norm fails the check."""
-        for nd in dual_norm(space, self.padded()[1][0]).tolist():
-            if not nd <= 1.0 + DUAL_NORM_TOL:
-                raise ValueError(f"functional dual norm {nd} exceeds 1")
 
     def to_json(self) -> dict:
         return {
@@ -216,11 +213,6 @@ def hom_parts(spec, z, upto: int) -> list[complex]:
     return hom_rows(*_padded(spec), np.asarray(z, dtype=complex)[None], upto)[0].tolist()
 
 
-def hom_part_eval(spec, j: int, z) -> complex:
-    """Degree-j homogeneous part of f evaluated at z; f_0 = 1."""
-    return hom_parts(spec, z, j)[j]
-
-
 def closed_rows(f: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The order-2..4 functionals f_{k-1}/r^{k-1} of every row of f_0..f_3
     and gauges r, as a (rows, 3) array, and |A2 A3 - A4| of every row."""
@@ -258,45 +250,44 @@ def pairing_rows(space: SpaceSpec, f: np.ndarray, v: np.ndarray, r: np.ndarray, 
 
 
 def zalcman_rows(
-    space: SpaceSpec, lams: np.ndarray, covs: np.ndarray, z: np.ndarray,
-    mode: str = "ball", method: str = "closed",
+    space: SpaceSpec, lams: np.ndarray, covs: np.ndarray, z: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The order-2..4 functionals (rows, 3) and |A2 A3 - A4| (rows,) of every
-    row of a batch of maps and points; raises ExceptionalPoint if any point
-    is at the origin or near E.  ``method`` "closed" uses f_{k-1}/rho^{k-1},
-    "pairing" and "gradient" the explicit pairing of ``mode``."""
-    if mode not in ("ball", "domain"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if method not in ("closed", "pairing", "gradient"):
-        raise ValueError(f"unknown method {method!r}")
+    """The order-2..4 functionals f_{k-1}/rho^{k-1} (rows, 3) and
+    |A2 A3 - A4| (rows,) of every row of a batch of maps and points; raises
+    ExceptionalPoint if any point is at the origin or near E."""
     v, r = check_off_exceptional(space, z)
-    f = hom_rows(lams, covs, v, 3)
-    if method == "closed":
-        return closed_rows(f, r)
-    vals = pairing_rows(space, f, v, r, mode)
-    return vals, modulus(vals[:, 0] * vals[:, 1] - vals[:, 2])
+    return closed_rows(hom_rows(lams, covs, v, 3), r)
 
 
-def _functional_k(space: SpaceSpec, spec, z, k: int, mode: str, method: str) -> complex:
+def _paired(space: SpaceSpec, spec, z, k: int, mode: str) -> complex:
+    """The order-k functional at z by the explicit pairing of ``mode``
+    (see ``pairing_rows``)."""
     if k not in (2, 3, 4):
         raise ValueError("functional order must be 2, 3 or 4")
-    return zalcman_nd(space, spec, z, mode, method).values[k - 2]
+    v, r = check_off_exceptional(space, np.asarray(z, dtype=complex)[None])
+    f = hom_rows(*_padded(spec), v, 3)
+    return complex(pairing_rows(space, f, v, r, mode)[0, k - 2])
 
 
-def functional_A(space: SpaceSpec, spec, z, k: int, method: str = "closed") -> complex:
-    """Ball-normalized order-k functional l_z(D^k F(0)(z^k)) / (k! ||z||^k)."""
-    return _functional_k(space, spec, z, k, "ball", method)
+def functional_A(space: SpaceSpec, spec, z, k: int) -> complex:
+    """Ball-normalized order-k functional l_z(D^k F(0)(z^k)) / (k! ||z||^k),
+    by pairing with the support functional l_z."""
+    return _paired(space, spec, z, k, "ball")
 
 
-def functional_B(space: SpaceSpec, spec, z, k: int, method: str = "closed") -> complex:
-    """Domain-normalized order-k functional 2 (d rho/dz) D^k F(0)(z^k) / (k! rho^k)."""
-    return _functional_k(space, spec, z, k, "domain", method)
+def functional_B(space: SpaceSpec, spec, z, k: int) -> complex:
+    """Domain-normalized order-k functional 2 (d rho/dz) D^k F(0)(z^k) / (k! rho^k),
+    by pairing with twice the gauge gradient."""
+    return _paired(space, spec, z, k, "domain")
 
 
-def zalcman_nd(space: SpaceSpec, spec, z, mode: str = "ball", method: str = "closed") -> FunctionalValues:
-    """Assemble the order-2..4 functionals and |A2 A3 - A4| at z."""
+def zalcman_nd(space: SpaceSpec, spec, z, mode: str = "ball") -> FunctionalValues:
+    """Assemble the order-2..4 functionals and |A2 A3 - A4| at z by the
+    closed form; ``mode`` ("ball" or "domain") labels the normalization."""
+    if mode not in ("ball", "domain"):
+        raise ValueError(f"unknown mode {mode!r}")
     v = np.asarray(z, dtype=complex)
-    vals, value = zalcman_rows(space, *_padded(spec), v[None], mode, method)
+    vals, value = zalcman_rows(space, *_padded(spec), v[None])
     return FunctionalValues(mode, tuple(vals[0].tolist()), float(value[0]), space, tuple(v.tolist()))
 
 
@@ -504,45 +495,41 @@ def make_extremal_ball(space: SpaceSpec, u) -> LiftedMapSpec:
     return LiftedMapSpec(((1.0, support_covector(space, uv)),))
 
 
-def make_extremal_domain(space: SpaceSpec, r: float = 1.0) -> LiftedMapSpec:
-    """Extremal map z / (1 - z_1/r)^2 of a circular domain whose first-axis
-    slice has radius r (r = 1 for every implemented gauge family)."""
-    if r <= 0:
-        raise ValueError("slice radius must be positive")
+def make_extremal_domain(space: SpaceSpec) -> LiftedMapSpec:
+    """Extremal map z / (1 - z_1)^2 of a circular domain whose first-axis
+    slice is the unit disk, as for every implemented gauge family."""
     entries = [0j] * space.dim
-    entries[0] = 1.0 / r
+    entries[0] = 1.0
     return LiftedMapSpec(((1.0, Covector(tuple(entries))),))
 
 
-def spec_draws(space: SpaceSpec, max_atoms: int = SPEC_ATOMS) -> int:
+def spec_draws(space: SpaceSpec) -> int:
     """Uniforms ``spec_rows`` draws per row: the atom count, then per atom
     an exponential, a dual-norm scale and 2 dim for the covector."""
-    return 1 + max_atoms * (2 + 2 * space.dim)
+    return 1 + SPEC_ATOMS * (2 + 2 * space.dim)
 
 
 def spec_rows(
-    space: SpaceSpec, draw, rows: int, start: int = 0, max_atoms: int = SPEC_ATOMS
+    space: SpaceSpec, draw, rows: int, start: int = 0
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Random certified-starlike product maps on the given gauge, one per row.
 
-    Returns weights (rows, max_atoms), covectors (rows, max_atoms, dim) and
+    Returns weights (rows, SPEC_ATOMS), covectors (rows, SPEC_ATOMS, dim) and
     atom counts (rows,), from the ``spec_draws`` uniforms of each row from
     draw ``start`` on (``draw`` as in ``geometry.sphere_rows``).  The count
-    is uniform in [1, max_atoms]; weights are flat on the simplex
+    is uniform in [1, SPEC_ATOMS]; weights are flat on the simplex
     (normalized exponentials, -log u); each functional is a complex Gaussian
     covector (Box-Muller) rescaled to a dual norm drawn from [0.25, 1],
     keeping the map holomorphic on the open unit ball of the gauge.  Atoms
     past the count are padding.
     """
-    if max_atoms < 1:
-        raise ValueError("max_atoms must be >= 1")
-    u = draw(np.arange(rows), start, spec_draws(space, max_atoms))
-    counts = np.minimum((u[:, 0] * max_atoms).astype(np.int64), max_atoms - 1) + 1
-    live = np.arange(max_atoms) < counts[:, None]
-    raw = np.where(live, -np.log(u[:, 1 : 1 + max_atoms]), 0.0)
+    u = draw(np.arange(rows), start, spec_draws(space))
+    counts = np.minimum((u[:, 0] * SPEC_ATOMS).astype(np.int64), SPEC_ATOMS - 1) + 1
+    live = np.arange(SPEC_ATOMS) < counts[:, None]
+    raw = np.where(live, -np.log(u[:, 1 : 1 + SPEC_ATOMS]), 0.0)
     lams = raw / raw.sum(axis=1, keepdims=True)
-    scales = 0.25 + 0.75 * u[:, 1 + max_atoms : 1 + 2 * max_atoms]
-    g = gaussians(u[:, 1 + 2 * max_atoms :].reshape(rows, max_atoms, 2 * space.dim))
+    scales = 0.25 + 0.75 * u[:, 1 + SPEC_ATOMS : 1 + 2 * SPEC_ATOMS]
+    g = gaussians(u[:, 1 + 2 * SPEC_ATOMS :].reshape(rows, SPEC_ATOMS, 2 * space.dim))
     with np.errstate(divide="ignore", invalid="ignore"):
         covs = g * (scales / dual_norm(space, g))[:, :, None]
     covs = np.where(live[:, :, None], covs, 0.0)
@@ -550,12 +537,8 @@ def spec_rows(
     return lams, covs, counts
 
 
-def sample_lifted_spec(
-    space: SpaceSpec,
-    rng: np.random.Generator,
-    max_atoms: int = SPEC_ATOMS,
-) -> LiftedMapSpec:
+def sample_lifted_spec(space: SpaceSpec, rng: np.random.Generator) -> LiftedMapSpec:
     """Random certified-starlike product map on the given gauge: one row of
     ``spec_rows`` with uniforms read from ``rng``."""
-    lams, covs, counts = spec_rows(space, rng_draws(rng), 1, max_atoms=max_atoms)
+    lams, covs, counts = spec_rows(space, rng_draws(rng), 1)
     return LiftedMapSpec.from_row(lams[0, : counts[0]], covs[0, : counts[0]])

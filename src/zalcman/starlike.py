@@ -200,16 +200,17 @@ def project_simplex(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return weights, ok
 
 
-def search_starts(seed: int, restarts: int, max_atoms: int = MAX_ATOMS):
-    """(weights, angles, counts) of the search starts as padded rows.
+def search_starts(seed: int):
+    """(weights, angles, counts) of the SEARCH_RESTARTS search starts as
+    padded rows.
 
-    Restart r has r % max_atoms + 1 atoms, so restart 0 is a single atom (a
+    Restart r has r % MAX_ATOMS + 1 atoms, so restart 0 is a single atom (a
     rotated Koebe function) and every support size is probed.  Its weights
     and angles come from draws SEARCH_DRAW_START .. SEARCH_DRAW_START +
     2 MAX_ATOMS - 1 of index r in the counter stream of ``seed``.
     """
-    counts = np.arange(restarts) % max_atoms + 1
-    u = uniforms(seed, np.arange(restarts), 2 * MAX_ATOMS, SEARCH_DRAW_START)
+    counts = np.arange(SEARCH_RESTARTS) % MAX_ATOMS + 1
+    u = uniforms(seed, np.arange(SEARCH_RESTARTS), 2 * MAX_ATOMS, SEARCH_DRAW_START)
     return (*atom_rows(u, counts), counts)
 
 
@@ -280,13 +281,7 @@ def _sweep_trials(slots, running, pos, step, weights, angles, table):
     return owner[keep], position[keep], tw[keep], ta[keep], tt[:, :, keep]
 
 
-def search_extremal(
-    order: ZalcmanOrder,
-    budget: int,
-    seed: int,
-    restarts: int = SEARCH_RESTARTS,
-    max_atoms: int = MAX_ATOMS,
-) -> SearchResult:
+def search_extremal(order: ZalcmanOrder, budget: int, seed: int) -> SearchResult:
     """Derivative-free search for extremizers of |J_{m,n}| over measures.
 
     Multi-start coordinate pattern search (Torczon, SIAM J. Optim. 1997)
@@ -297,16 +292,17 @@ def search_extremal(
     the restart's current value is accepted and the sweep goes on from it; a
     sweep without an acceptance halves the step, down to SEARCH_STEP_FLOOR.
 
-    The restarts (``search_starts``) advance together: each round ranks the
-    rest of every running restart's sweep in one ``table_values`` batch,
-    accepts each restart's first improving trial and drops the trials after
-    it, to be issued again from the new state in the next round.  The sweep
-    slots of all restarts are built once per search (``_sweep_slots``), and
-    a round selects its trials from them with one mask.  Each restart keeps
-    the atom-major phase table of its current angles, replaced only on
-    acceptance, so a round computes trig only for the one angle column of
-    each angle trial (see ``_sweep_trials``), and every |J| it ranks equals
-    ``zalcman_values`` of the trial's row bit for bit.  The result is that
+    The SEARCH_RESTARTS restarts (``search_starts``) advance together:
+    each round ranks the rest of every running restart's sweep in one
+    ``table_values`` batch, accepts each restart's first improving trial
+    and drops the trials after it, to be issued again from the new state
+    in the next round.  The sweep slots of all restarts are built once per
+    search (``_sweep_slots``), and a round selects its trials from them
+    with one mask.  Each restart keeps the atom-major phase table of its
+    current angles, replaced only on acceptance, so a round computes trig
+    only for the one angle column of each angle trial (see
+    ``_sweep_trials``), and every |J| it ranks equals ``zalcman_values`` of
+    the trial's row bit for bit.  The result is that
     of running the restarts one after another.  ``budget`` caps the
     evaluated trials, at most MAX_BUDGET (skipped ones do not count; the
     starts are free, so budget 0 reports the best start): restart r may
@@ -319,21 +315,17 @@ def search_extremal(
     """
     if not 0 <= budget <= MAX_BUDGET:
         raise ValueError(f"budget must be between 0 and {MAX_BUDGET}")
-    if restarts < 1:
-        raise ValueError("restarts must be >= 1")
-    if not 1 <= max_atoms <= MAX_ATOMS:
-        raise ValueError(f"max_atoms must be between 1 and {MAX_ATOMS}")
-    weights, angles, counts = search_starts(seed, restarts, max_atoms)
+    weights, angles, counts = search_starts(seed)
     table = phase_table(angles, order.top_coefficient - 1)
     current = table_values(weights, table, order)
     first = int(np.argmax(current))
     best = (float(current[first]), weights[first].copy(), angles[first].copy(), counts[first])
 
-    step = np.full(restarts, SEARCH_STEP_START)
-    pos = np.zeros(restarts, dtype=np.int64)
-    improved = np.zeros(restarts, dtype=bool)
-    used = np.zeros(restarts, dtype=np.int64)
-    running = np.full(restarts, budget > 0)
+    step = np.full(SEARCH_RESTARTS, SEARCH_STEP_START)
+    pos = np.zeros(SEARCH_RESTARTS, dtype=np.int64)
+    improved = np.zeros(SEARCH_RESTARTS, dtype=bool)
+    used = np.zeros(SEARCH_RESTARTS, dtype=np.int64)
+    running = np.full(SEARCH_RESTARTS, budget > 0)
     slots = _sweep_slots(counts)
     # Accepted trials of each round as (restart, evaluation index, value,
     # weights, angles).  A trial that beats the running best also beats its
@@ -356,7 +348,7 @@ def search_extremal(
         first[1:] = hit_owner[1:] != hit_owner[:-1]
         a = hit[first]
         won = hit_owner[first]
-        spent = np.bincount(owner, minlength=restarts)
+        spent = np.bincount(owner, minlength=SEARCH_RESTARTS)
         spent[won] = a - np.searchsorted(owner, won) + 1
         used += spent
         va, wa, aa = vals.take(a), tw.take(a, axis=0), ta.take(a, axis=0)

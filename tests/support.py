@@ -3,7 +3,8 @@
 import numpy as np
 from hypothesis import strategies as st
 
-from zalcman import Covector, HerglotzMeasure, LiftedMapSpec, dual_norm
+from zalcman import HerglotzMeasure, LiftedMapSpec
+from zalcman.geometry import Covector, dual_norm
 
 finite_floats = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
 

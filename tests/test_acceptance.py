@@ -162,7 +162,7 @@ def test_criterion_5_domain_bound_and_extremal_values():
         sup = sup_space(dim)
         raw = np.array([2.0 ** -k for k in range(dim)], dtype=complex)
         u = raw / rho(sup, raw)
-        fv = zalcman_nd(sup, make_extremal_domain(sup, 1.0), 0.75 * u, mode="domain")
+        fv = zalcman_nd(sup, make_extremal_domain(sup), 0.75 * u, mode="domain")
         defect = max(
             defect,
             abs(fv.zalcman - 2.0),
@@ -171,7 +171,7 @@ def test_criterion_5_domain_bound_and_extremal_values():
         cube = lp_space(dim, 3.0)
         e1 = np.zeros(dim, dtype=complex)
         e1[0] = 1.0
-        fv = zalcman_nd(cube, make_extremal_domain(cube, 1.0), 0.75 * e1, mode="domain")
+        fv = zalcman_nd(cube, make_extremal_domain(cube), 0.75 * e1, mode="domain")
         defect = max(
             defect,
             abs(fv.zalcman - 2.0),
@@ -269,7 +269,7 @@ def test_criterion_9_starlikeness_scans():
         raw = np.array([2.0 ** -k for k in range(space.dim)], dtype=complex)
         u = raw / rho(space, raw)
         clean &= starlikeness_scan(space, make_extremal_ball(space, u)).passed
-        clean &= starlikeness_scan(space, make_extremal_domain(space, 1.0)).passed
+        clean &= starlikeness_scan(space, make_extremal_domain(space)).passed
         rng = np.random.default_rng(subseed(SEED, 9))
         clean &= starlikeness_scan(space, sample_lifted_spec(space, rng)).passed
     overweight = [(2.0, Covector((1.0, 0.0)))]

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import json
 import math
+import re
 
 import pytest
 
@@ -376,3 +377,31 @@ def test_finite_json_reports_keep_their_bytes_and_others_write_null():
 
 def test_cli_parser_is_built_once():
     assert build_parser() is build_parser()
+
+
+@pytest.mark.parametrize("norm", ["l2", "lp:3", "sup", "l1"])
+def test_ball_and_domain_write_the_same_reports(norm, tmp_path, capsys):
+    # One runner serves both: the reports differ only in their campaign
+    # name (and in the wall-clock runtime_ms, zeroed here).
+    def report(campaign, fmt):
+        target = tmp_path / f"{campaign}.{fmt}"
+        argv = ["verify", campaign, "--seed", "4", "--samples", "60", "--dim", "3",
+                "--norm", norm, "--format", fmt, "--out", str(target)]
+        assert main(argv) == 0
+        return re.sub(r'"runtime_ms": \d+', '"runtime_ms": 0', target.read_text())
+
+    ball, domain = report("ball", "json"), report("domain", "json")
+    assert '"campaign": "ball"' in ball
+    assert ball.replace('"campaign": "ball"', '"campaign": "domain"') == domain
+    assert report("ball", "csv") == report("domain", "csv")
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("campaign", ["ball", "domain", "gradients", "reduction", "sharpness"])
+def test_large_exponent_gauges_run_clean(campaign, capsys):
+    # At p = 250 the power sum of a small point underflows and rho^{1-p}
+    # overflows; the gauge and the support functional rescale instead.
+    argv = ["verify", campaign, "--norm", "lp:250", "--dim", "2", "--samples", "1000"]
+    assert main(argv) == 0
+    obj = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert obj["violations"] == [] and math.isfinite(obj["max_value"])

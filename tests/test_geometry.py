@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from zalcman import (
+from zalcman.geometry import (
     Covector,
     ExceptionalPoint,
     SpaceSpec,
@@ -14,6 +14,7 @@ from zalcman import (
     l1_space,
     lp_space,
     minkowski_gradient,
+    pair,
     rho,
     sample_direction,
     sample_point,
@@ -100,7 +101,7 @@ def test_support_covector_norms_and_pairing(space):
         z = sample_point(space, rng, min_gap=1e-3)
         l = support_covector(space, z)
         assert abs(dual_norm(space, l) - 1.0) < 1e-12
-        assert abs(l(z) - rho(space, z)) < 1e-12
+        assert abs(pair(np.array(l.entries), z) - rho(space, z)) < 1e-12
 
 
 @pytest.mark.parametrize("space", FAMILIES, ids=family_ids())
@@ -109,7 +110,7 @@ def test_euler_identity_for_the_gradient(space):
     for _ in range(50):
         z = sample_point(space, rng, min_gap=1e-3)
         g = minkowski_gradient(space, z)
-        assert abs(2.0 * g(z) - rho(space, z)) < 1e-12
+        assert abs(2.0 * pair(np.array(g.entries), z) - rho(space, z)) < 1e-12
 
 
 @pytest.mark.parametrize("space", FAMILIES, ids=family_ids())
@@ -173,8 +174,12 @@ def test_covector_is_linear_and_serializable():
     b = Covector((1.0 + 2.0j, -1.0))
     z = np.array([0.5, 0.25j])
     w = np.array([-1.0j, 2.0])
-    assert abs(b(z + w) - (b(z) + b(w))) < 1e-15
-    assert abs(b.scale(2.0)(z) - 2.0 * b(z)) < 1e-15
+
+    def paired(c, v):
+        return pair(np.array(c.entries), v)
+
+    assert abs(paired(b, z + w) - (paired(b, z) + paired(b, w))) < 1e-15
+    assert abs(paired(b.scale(2.0), z) - 2.0 * paired(b, z)) < 1e-15
     assert Covector.from_json(b.to_json()) == b
 
 
@@ -203,3 +208,56 @@ def test_sample_point_validates_radii():
             sample_point(euclidean(2), np.random.default_rng(0), rmin=rmin, rmax=rmax)
     z = sample_point(euclidean(2), np.random.default_rng(0), rmin=0.9, rmax=0.999)
     assert 0.9 <= rho(euclidean(2), z) <= 0.999
+
+
+DUAL_PAIRS = [
+    (euclidean(3), euclidean(3)),
+    (lp_space(3, 3.0), lp_space(3, 1.5)),
+    (lp_space(3, 1.5), lp_space(3, 3.0)),
+    (sup_space(3), l1_space(3)),
+    (l1_space(3), sup_space(3)),
+]
+
+
+# The power sums overflow before the fallback rescales them.
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("space, dual", DUAL_PAIRS,
+                         ids=[f"{s.kind}{s.p or ''}-{d.kind}{d.p or ''}" for s, d in DUAL_PAIRS])
+def test_dual_norm_is_the_gauge_of_the_dual_family(space, dual):
+    # One kernel: the dual norm of lp:p is the lp:q gauge, q = p/(p-1), and
+    # sup and l1 swap; equal under ==, in range and in the range fallback.
+    rng = np.random.default_rng(12)
+    b = rng.normal(size=(50, 3)) + 1j * rng.normal(size=(50, 3))
+    b[::5, 0] = 0.0
+    for scale in (1.0, 1e-250, 1e250):
+        assert (dual_norm(space, scale * b) == rho(dual, scale * b)).all()
+    for row in b[:5]:
+        assert dual_norm(space, Covector(tuple(row))) == rho(dual, row)
+    with pytest.raises(ValueError, match="expected covectors of length 3"):
+        dual_norm(space, np.ones(2))
+    with pytest.raises(ValueError, match="expected vectors of length 3"):
+        rho(dual, np.ones(2))
+
+
+# The power sums overflow before the fallback rescales them.
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_gauges_outside_the_float_range_factor_out_the_largest_entry():
+    # 0.05^300 and (1e-120)^3 underflow, and (1e120)^3 overflows, so the
+    # power sums leave the float range.
+    assert rho(lp_space(2, 300.0), np.array([0.05, 0.0])) == 0.05
+    assert rho(lp_space(2, 3.0), np.array([1e-120, 0.0])) == 1e-120
+    big = rho(lp_space(2, 3.0), np.array([1e120, 1e120j]))
+    assert abs(big / (1e120 * 2.0 ** (1.0 / 3.0)) - 1.0) < 1e-15
+    rows = rho(lp_space(2, 3.0), np.array([[3.0, 4.0j], [1e-120, 0.0], [0.0, 0.0]]))
+    assert rows.tolist() == [rho(lp_space(2, 3.0), np.array([3.0, 4.0j])), 1e-120, 0.0]
+
+
+def test_support_functionals_stay_finite_at_large_p():
+    # rho^{1-p} overflows at gauge 0.05 for p = 250; the entries are taken
+    # as (|z_i|/rho)^{p-2} conj(z_i)/rho there.
+    space = lp_space(2, 250.0)
+    for z in (np.array([0.05, 0.03j]), np.array([0.0, -0.05]), np.array([0.9, 0.5])):
+        l = support_covector(space, z)
+        assert np.isfinite(l.entries).all()
+        assert abs(pair(np.array(l.entries), z) - rho(space, z)) < 1e-15
+        assert abs(dual_norm(space, l) - 1.0) < 1e-12

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from zalcman import HerglotzMeasure, sample_measure
 from zalcman.herglotz import MAX_ATOMS, SAMPLE_DRAWS, sample_batch, uniforms
+from zalcman.series import TruncatedSeries
 
 from support import measures
 
@@ -40,14 +41,6 @@ def test_single_atom_coefficients_lie_on_radius_two():
         mu.coefficient(0)
 
 
-def test_series_has_unit_constant_term():
-    mu = HerglotzMeasure(((0.25, 0.1), (0.75, 2.0)))
-    s = mu.series()
-    assert s.coeffs[0] == 1
-    assert s.order == 7
-    assert s.coeffs[3] == mu.coefficient(3)
-
-
 def test_margin_examples_pin_the_three_inequalities():
     single = HerglotzMeasure(((1.0, 1.234),)).margins()
     assert max(abs(m) for m in single) < 1e-12
@@ -76,25 +69,27 @@ def test_coefficient_moduli_bounded_by_two(mu, n):
     assert abs(mu.coefficient(n)) <= 2.0 + 1e-12
 
 
-@given(measures())
-def test_evaluate_has_positive_real_part(mu):
-    for r in (0.2, 0.6, 0.95):
-        for k in range(8):
-            zeta = r * cmath.exp(2j * math.pi * k / 8)
-            assert mu.evaluate(zeta).real > 0.0
+def herglotz_value(mu, zeta):
+    """p(zeta) = sum_k lam_k (1 + zeta e^{-i theta_k}) / (1 - zeta e^{-i theta_k})."""
+    acc = 0j
+    for w, t in mu.atoms:
+        u = zeta * cmath.exp(-1j * t)
+        acc += w * (1 + u) / (1 - u)
+    return acc
 
 
 @given(measures())
 def test_series_tracks_rational_evaluation_near_zero(mu):
-    s = mu.series()
+    # The moments are the Taylor coefficients of the Herglotz transform.
+    s = TruncatedSeries((1 + 0j,) + tuple(mu.coefficient(n) for n in range(1, 8)))
     for zeta in (0.1, -0.1, 0.07 + 0.07j):
         # Tail bound: sum_{n>7} 2 |zeta|^n = 2 |zeta|^8 / (1 - |zeta|).
-        assert abs(s(zeta) - mu.evaluate(zeta)) < 3e-8
+        assert abs(s(zeta) - herglotz_value(mu, zeta)) < 3e-8
 
 
 @given(measures(), angles)
 def test_rotation_twists_coefficients_and_preserves_margins(mu, phi):
-    rot = mu.rotated(phi)
+    rot = HerglotzMeasure(tuple((w, t + phi) for w, t in mu.atoms))
     for n in (1, 2, 3):
         expected = mu.coefficient(n) * cmath.exp(-1j * n * phi)
         assert abs(rot.coefficient(n) - expected) < 1e-12
@@ -136,11 +131,12 @@ def test_uniforms_lie_strictly_inside_the_unit_interval():
 
 
 def test_sample_batch_pads_with_zero_atoms():
-    weights, angles = sample_batch(1, np.arange(500), max_atoms=3)
+    weights, angles = sample_batch(1, np.arange(500))
+    assert weights.shape == angles.shape == (500, MAX_ATOMS)
     live = weights > 0
-    assert set(live.sum(axis=1)) == {1, 2, 3}
-    assert not live[:, 3:].any()
+    counts = live.sum(axis=1)
+    assert set(counts) == set(range(1, MAX_ATOMS + 1))
+    # The live atoms lead each row; the rest are padding.
+    assert (live == (np.arange(MAX_ATOMS) < counts[:, None])).all()
     assert (angles[~live] == 0.0).all()
     assert ((0.0 <= angles) & (angles < 2.0 * math.pi)).all()
-    with pytest.raises(ValueError):
-        sample_batch(1, [0], max_atoms=MAX_ATOMS + 1)

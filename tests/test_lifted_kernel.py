@@ -9,26 +9,34 @@ checks use ==, never isclose.
 import numpy as np
 import pytest
 
-from zalcman import (
-    CampaignConfig,
-    LiftedMapSpec,
-    dual_norm,
-    exceptional_distance,
-    hom_parts,
-    minkowski_gradient,
-    reduction_crosscheck,
-    restrict_h,
-    rho,
-    run_campaign,
-    support_covector,
-    wirtinger_fd_gradient,
-    zalcman_nd,
-)
+from zalcman import CampaignConfig, LiftedMapSpec, rho, run_campaign, zalcman_nd
 from zalcman import campaigns, mappings
 from zalcman.campaigns import space_of
-from zalcman.geometry import fd_gradient_rows, gaussians, gradient_rows, support_rows
+from zalcman.geometry import (
+    dual_norm,
+    exceptional_distance,
+    fd_gradient_rows,
+    gaussians,
+    gradient_rows,
+    minkowski_gradient,
+    support_covector,
+    support_rows,
+    wirtinger_fd_gradient,
+)
 from zalcman.herglotz import SAMPLE_BLOCK, uniforms
-from zalcman.mappings import SPEC_ATOMS, closed_form_values, hom_rows, reduction_rows, zalcman_rows
+from zalcman.mappings import (
+    SPEC_ATOMS,
+    closed_form_values,
+    functional_A,
+    functional_B,
+    hom_parts,
+    hom_rows,
+    pairing_rows,
+    reduction_crosscheck,
+    reduction_rows,
+    restrict_h,
+    zalcman_rows,
+)
 
 NORMS = ("l2", "lp:3", "lp:1.5", "sup", "l1")
 DIMS = (2, 3, 5)
@@ -52,11 +60,8 @@ def test_lifted_rows_equal_their_batch_of_one_replay(norm, dim):
     gauges, gaps = rho(space, z), exceptional_distance(space, z)
     support = support_rows(space, z, gauges)
     f = hom_rows(lams, covs, z, 3)
-    routes = {
-        (mode, method): zalcman_rows(space, lams, covs, z, mode, method)
-        for mode, method in (("ball", "closed"), ("domain", "closed"),
-                             ("ball", "pairing"), ("domain", "gradient"))
-    }
+    vals, value = zalcman_rows(space, lams, covs, z)
+    paired = {mode: pairing_rows(space, f, z, gauges, mode) for mode in ("ball", "domain")}
     red, dual = reduction_rows(space, lams, covs, z)
     norms = dual_norm(space, covs)
     reports = {c: run_campaign(config(c, norm, dim)) for c in ("ball", "domain", "reduction")}
@@ -68,15 +73,18 @@ def test_lifted_rows_equal_their_batch_of_one_replay(norm, dim):
         assert support_covector(space, zi).entries == tuple(support[i].tolist())
         assert [dual_norm(space, b) for _, b in spec.atoms] == norms[i, : counts[i]].tolist()
         assert hom_parts(spec, zi, 3) == f[i].tolist()
-        for (mode, method), (vals, value) in routes.items():
-            fv = zalcman_nd(space, spec, zi, mode, method)
+        for mode in ("ball", "domain"):
+            fv = zalcman_nd(space, spec, zi, mode)
             assert fv.values == tuple(vals[i].tolist())
             assert fv.zalcman == value[i]
+        for k in (2, 3, 4):
+            assert functional_A(space, spec, zi, k) == paired["ball"][i, k - 2]
+            assert functional_B(space, spec, zi, k) == paired["domain"][i, k - 2]
         closed = closed_form_values(spec, zi, rho(space, zi))
-        assert closed == (tuple(routes["ball", "closed"][0][i].tolist()), routes["ball", "closed"][1][i])
+        assert closed == (tuple(vals[i].tolist()), value[i])
         assert reduction_crosscheck(space, spec, zi) == red[i]
-        assert reports["ball"].rows[i][1] == routes["ball", "closed"][1][i]
-        assert reports["domain"].rows[i][1] == routes["domain", "closed"][1][i]
+        assert reports["ball"].rows[i][1] == value[i]
+        assert reports["domain"].rows[i][1] == value[i]
         assert reports["reduction"].rows[i][1] == reduction_value(red[i], dual[i])
 
 

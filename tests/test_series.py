@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from zalcman import (
+from zalcman.series import (
     DEFAULT_ORDER,
     NearSingularDivision,
     NonzeroConstantTerm,

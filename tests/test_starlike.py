@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 
 from zalcman import (
     HerglotzMeasure,
-    SchlichtCoefficients,
     ZalcmanOrder,
     coeffs_from_p,
     coeffs_oracle,
@@ -18,6 +17,7 @@ from zalcman import starlike
 from zalcman.herglotz import MAX_ATOMS, atom_rows, phase_table, sample_batch
 from zalcman.starlike import (
     SEARCH_RESTARTS,
+    SchlichtCoefficients,
     SearchResult,
     project_simplex,
     search_starts,
@@ -140,15 +140,8 @@ def test_budget_zero_still_reports_a_start_candidate():
     assert 0.0 <= result.value <= 2.0 + 1e-9
 
 
-def test_search_rejects_bad_restarts_and_atom_counts():
-    o = ZalcmanOrder(2, 3)
-    for kwargs in ({"restarts": 0}, {"restarts": -1}, {"max_atoms": 0}, {"max_atoms": MAX_ATOMS + 1}):
-        with pytest.raises(ValueError):
-            search_extremal(o, budget=10, seed=0, **kwargs)
-
-
 def test_search_starts_come_from_their_own_draws():
-    weights, angles, counts = search_starts(7, SEARCH_RESTARTS)
+    weights, angles, counts = search_starts(7)
     assert counts.tolist() == [r % MAX_ATOMS + 1 for r in range(SEARCH_RESTARTS)]
     live = np.arange(MAX_ATOMS) < counts[:, None]
     assert (weights[live] > 0).all() and (weights[~live] == 0).all() and (angles[~live] == 0).all()
@@ -158,16 +151,15 @@ def test_search_starts_come_from_their_own_draws():
     # The zalcman1d samples of the same seed and indices are other measures.
     _, sample_angles = sample_batch(7, np.arange(SEARCH_RESTARTS))
     assert not np.isin(angles[live], sample_angles).any()
-    assert search_starts(7, 5, max_atoms=2)[2].tolist() == [1, 2, 1, 2, 1]
 
 
-def _reference_search(order, seed, budgets, restarts=SEARCH_RESTARTS, max_atoms=MAX_ATOMS):
+def _reference_search(order, seed, budgets):
     """The pattern search of ``search_extremal`` one restart after another
     and one trial at a time, with the projection and the kernel as
     batch-of-one calls.  A run under budget b is a prefix of a run under a
     larger one, so one run gives {b: SearchResult} for every b in budgets."""
     budget = max(budgets)
-    start_w, start_a, counts = search_starts(seed, restarts, max_atoms)
+    start_w, start_a, counts = search_starts(seed)
 
     def value(w, a):
         return float(zalcman_values(w[None], a[None], order)[0])

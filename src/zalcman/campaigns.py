@@ -26,8 +26,6 @@ is not >= -tolerance, so a NaN margin always fails the report.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 import sys
@@ -123,7 +121,8 @@ class CampaignConfig:
 
 @dataclass(frozen=True)
 class CampaignReport:
-    """Aggregate outcome plus per-sample rows (index, value, margin).
+    """Aggregate outcome plus the values and margins arrays: read-only
+    float64 arrays with one entry per sample.
 
     ``violations`` holds serialized witnesses; it is nonempty exactly when
     some margin is not >= -tolerance (a NaN margin included).
@@ -139,7 +138,8 @@ class CampaignReport:
     min_margin: float
     violations: tuple[dict, ...]
     runtime_ms: int
-    rows: tuple[tuple[int, float, float], ...] = field(repr=False)
+    values: np.ndarray = field(repr=False, compare=False)
+    margins: np.ndarray = field(repr=False, compare=False)
     extras: dict | None = None
 
     @property
@@ -463,6 +463,7 @@ def run_campaign(cfg: CampaignConfig) -> CampaignReport:
         raise UsageError(f"{exc}; lower --dim") from exc
     values = np.asarray(values, dtype=float)
     margins = np.asarray(margins, dtype=float)
+    values.flags.writeable = margins.flags.writeable = False
     violations = [witness(int(i)) for i in violation_rows(margins, cfg.tolerance)]
     runtime_ms = int(round((time.perf_counter() - start) * 1000.0))
     return CampaignReport(
@@ -474,7 +475,8 @@ def run_campaign(cfg: CampaignConfig) -> CampaignReport:
         min_margin=float(margins.min()),
         violations=tuple(violations),
         runtime_ms=runtime_ms,
-        rows=tuple(zip(range(len(values)), values.tolist(), margins.tolist())),
+        values=values,
+        margins=margins,
         extras=extras,
     )
 
@@ -490,39 +492,52 @@ def _strict(obj):
     return obj
 
 
+def _csv_chunks(report: CampaignReport):
+    """The CSV text of a report: the header, one string per block of at
+    most SAMPLE_BLOCK rows, and the ``aggregate`` footer.  Every cell is
+    the Python repr of its number, as ``csv.writer`` wrote them."""
+    yield "index,value,margin,violation\n"
+    n = len(report.values)
+    flags = np.zeros(n, dtype=np.int8)
+    flags[[v["index"] for v in report.violations if "index" in v]] = 1
+    for first in range(0, n, SAMPLE_BLOCK):
+        last = min(first + SAMPLE_BLOCK, n)
+        cells = [None] * (4 * (last - first))
+        cells[0::4] = range(first, last)
+        cells[1::4] = report.values[first:last].tolist()
+        cells[2::4] = report.margins[first:last].tolist()
+        cells[3::4] = flags[first:last].tolist()
+        yield ("%d,%r,%r,%d\n" * (last - first)) % tuple(cells)
+    yield "aggregate,%r,%r,%d\n" % (report.max_value, report.min_margin, len(report.violations))
+
+
+def _report_chunks(report: CampaignReport, fmt: str):
+    """The rendered report as an iterable of strings; raises UsageError on
+    an unknown format before any is produced."""
+    if fmt == "json":
+        return (json.dumps(_strict(report.to_json()), indent=2, allow_nan=False) + "\n",)
+    if fmt == "csv":
+        return _csv_chunks(report)
+    raise UsageError(f"unknown format {fmt!r}")
+
+
 def render_report(report: CampaignReport, fmt: str = "json") -> str:
     """Serialize a report; identical reports produce identical bytes.
 
     JSON carries the aggregate structure and witnesses; it is strict JSON,
     with non-finite numbers written as null.  CSV has one row per sample
-    plus an ``aggregate`` footer with the summary columns.
+    plus an ``aggregate`` footer with the summary columns; its cells are
+    Python reprs, so non-finite numbers are written nan, inf and -inf.
     """
-    if fmt == "json":
-        return json.dumps(_strict(report.to_json()), indent=2, allow_nan=False) + "\n"
-    if fmt == "csv":
-        flagged = {v["index"] for v in report.violations if "index" in v}
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["index", "value", "margin", "violation"])
-        for i, value, margin in report.rows:
-            w.writerow([i, repr(value), repr(margin), int(i in flagged)])
-        w.writerow(
-            [
-                "aggregate",
-                repr(report.max_value),
-                repr(report.min_margin),
-                len(report.violations),
-            ]
-        )
-        return buf.getvalue()
-    raise UsageError(f"unknown format {fmt!r}")
+    return "".join(_report_chunks(report, fmt))
 
 
 def emit_report(report: CampaignReport, fmt: str = "json", path: str | None = None) -> None:
-    """Write the rendered report to a file, or stdout when path is None."""
-    text = render_report(report, fmt)
+    """Write the rendered report to a file, or stdout when path is None,
+    one chunk at a time: a CSV report is never held as one string."""
+    chunks = _report_chunks(report, fmt)
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines(chunks)

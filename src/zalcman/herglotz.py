@@ -97,10 +97,13 @@ def phase_table(angles: np.ndarray, count: int) -> np.ndarray:
     depends on angles[r, i] alone, so a table whose column is recomputed
     from a single angle equals the table of the whole row bit for bit.
     """
-    phase = np.arange(1, count + 1)[:, None] * angles.T[:, None, :]
     table = np.empty((angles.shape[1], 2 * count, len(angles)))
+    # k theta goes into the sin half, the cos half is taken from it, and
+    # then the sin half in place: no separate phase array.
+    phase = table[:, count:]
+    np.multiply(np.arange(1, count + 1)[:, None], angles.T[:, None, :], out=phase)
     np.cos(phase, out=table[:, :count])
-    np.sin(phase, out=table[:, count:])
+    np.sin(phase, out=phase)
     return table
 
 
@@ -117,9 +120,13 @@ def table_moments(weights: np.ndarray, table: np.ndarray) -> np.ndarray:
     modulus shows), without numpy's per-row cost of reducing a short axis.
     """
     # Atom-major weights make the broadcast multiply read them contiguously.
+    # The halving adds into the product array in place; the caller's table
+    # (cached by the search) is never written.
     terms = table * np.ascontiguousarray(weights.T)[:, None, :]
     while len(terms) > 1:
-        terms = terms[0::2] + terms[1::2]
+        half = terms[0::2]
+        half += terms[1::2]
+        terms = half
     count = table.shape[1] // 2
     p = np.empty((count, table.shape[2]), dtype=complex)
     np.multiply(terms[0, :count], 2.0, out=p.real)

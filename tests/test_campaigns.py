@@ -1,8 +1,11 @@
+import csv
 import dataclasses
+import io
 import itertools
 import json
 import math
 import re
+import tracemalloc
 
 import pytest
 
@@ -20,6 +23,7 @@ from zalcman import (
 from zalcman import campaigns, mappings
 from zalcman.campaigns import REPORT_VERSION, emit_report, space_of, subseed
 from zalcman.cli import build_parser, main
+from zalcman.herglotz import SAMPLE_BLOCK
 
 
 def small(campaign, **kw):
@@ -48,13 +52,14 @@ def test_campaigns_pass_cleanly(cfg):
     assert rep.violations == ()
     assert rep.min_margin >= -cfg.tolerance
     assert rep.max_value <= rep.bound + cfg.tolerance
-    assert len(rep.rows) == rep.samples
+    assert len(rep.values) == len(rep.margins) == rep.samples
+    assert not (rep.values.flags.writeable or rep.margins.flags.writeable)
 
 
 def test_sample_count_contract():
     rep = run_campaign(CampaignConfig("zalcman1d", seed=0, samples=1))
     assert rep.samples == 1
-    assert len(rep.rows) == 1
+    assert len(rep.values) == len(rep.margins) == 1
 
 
 def test_reports_are_pure_functions_of_the_config():
@@ -63,7 +68,8 @@ def test_reports_are_pure_functions_of_the_config():
     ja, jb = a.to_json(), b.to_json()
     ja.pop("runtime_ms"), jb.pop("runtime_ms")
     assert ja == jb
-    assert a.rows == b.rows
+    assert a.values.tolist() == b.values.tolist()
+    assert a.margins.tolist() == b.margins.tolist()
 
 
 def test_subseeds_are_stable_and_distinct():
@@ -405,3 +411,72 @@ def test_large_exponent_gauges_run_clean(campaign, capsys):
     assert main(argv) == 0
     obj = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
     assert obj["violations"] == [] and math.isfinite(obj["max_value"])
+
+
+def _csv_writer_reference(report):
+    """The report CSV as ``csv.writer`` wrote it, one row at a time: the
+    reference the direct writer must reproduce byte for byte."""
+    flagged = {v["index"] for v in report.violations if "index" in v}
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(["index", "value", "margin", "violation"])
+    for i, (value, margin) in enumerate(zip(report.values.tolist(), report.margins.tolist())):
+        w.writerow([i, repr(value), repr(margin), int(i in flagged)])
+    w.writerow(["aggregate", repr(report.max_value), repr(report.min_margin), len(report.violations)])
+    return buf.getvalue()
+
+
+def _poison_nan_and_inf(values):
+    values[2], values[4] = math.nan, math.inf
+    return values
+
+
+def test_csv_writer_matches_the_csv_module_reference(monkeypatch, tmp_path):
+    def check(rep):
+        text = render_report(rep, "csv")
+        assert text == _csv_writer_reference(rep)
+        target = tmp_path / "report.csv"
+        emit_report(rep, "csv", str(target))
+        assert target.read_text(encoding="utf-8") == text
+        return text
+
+    # Flagged rows in both blocks of a two-block run.
+    rep = run_campaign(CampaignConfig("caratheodory", samples=SAMPLE_BLOCK + 300, tolerance=1e-16))
+    flagged = [w["index"] for w in rep.violations]
+    assert min(flagged) < SAMPLE_BLOCK <= max(flagged)
+    check(rep)
+
+    # Non-finite cells are Python reprs, and such rows are violations.
+    _poison_call(monkeypatch, campaigns, "zalcman_values", _poison_nan_and_inf, 0)
+    rep = run_campaign(small("zalcman1d", samples=20))
+    assert [w["index"] for w in rep.violations] == [2, 4]
+    lines = check(rep).split("\n")
+    assert lines[1 + 2] == "2,nan,nan,1" and lines[1 + 4] == "4,inf,-inf,1"
+    monkeypatch.undo()
+
+    # No gradients sample exceeds its residual tolerances, so the finite-
+    # difference tolerance is tightened until some do.
+    monkeypatch.setattr(campaigns, "GRAD_FD_TOL", 4e-10)
+    rep = run_campaign(small("gradients", samples=60, dim=3, norm="l1", tolerance=1e-16))
+    assert 0 < len(rep.violations) < rep.samples
+    check(rep)
+    monkeypatch.undo()
+
+    check(run_campaign(small("sharpness", dim=3, norm="sup")))
+    check(run_campaign(small("search", budget=300, order=(3, 4))))
+
+
+def test_csv_emission_memory_stays_flat_in_the_sample_count(tmp_path):
+    # The CSV goes out block by block, so the peak of writing it does not
+    # grow with --samples (the values and margins arrays exist beforehand).
+    def peak(samples):
+        rep = run_campaign(CampaignConfig("caratheodory", samples=samples))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            emit_report(rep, "csv", str(tmp_path / "report.csv"))
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    assert peak(100_000) <= 2.0 * peak(20_000)

@@ -219,8 +219,6 @@ DUAL_PAIRS = [
 ]
 
 
-# The power sums overflow before the fallback rescales them.
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize("space, dual", DUAL_PAIRS,
                          ids=[f"{s.kind}{s.p or ''}-{d.kind}{d.p or ''}" for s, d in DUAL_PAIRS])
 def test_dual_norm_is_the_gauge_of_the_dual_family(space, dual):
@@ -239,8 +237,6 @@ def test_dual_norm_is_the_gauge_of_the_dual_family(space, dual):
         rho(dual, np.ones(2))
 
 
-# The power sums overflow before the fallback rescales them.
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_gauges_outside_the_float_range_factor_out_the_largest_entry():
     # 0.05^300 and (1e-120)^3 underflow, and (1e120)^3 overflows, so the
     # power sums leave the float range.

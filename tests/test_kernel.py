@@ -57,7 +57,7 @@ def test_caratheodory_witnesses_replay_exactly():
     for witness in rep.violations:
         mu = HerglotzMeasure.from_json(witness["measure"])
         assert list(mu.margins()) == witness["margins"]
-        assert min(witness["margins"]) == rep.rows[witness["index"]][2]
+        assert min(witness["margins"]) == rep.margins[witness["index"]]
 
 
 def test_blocks_concatenate_to_one_batch():
@@ -77,14 +77,15 @@ def test_witnesses_past_the_first_block_carry_their_own_index():
     weights, angles = sample_batch(7, [w["index"] for w in late])
     for r, witness in enumerate(late):
         assert witness["measure"] == HerglotzMeasure.from_row(weights[r], angles[r]).to_json()
-        assert min(witness["margins"]) == rep.rows[witness["index"]][2]
+        assert min(witness["margins"]) == rep.margins[witness["index"]]
 
 
 def test_a_run_is_a_prefix_of_a_longer_run():
     for campaign in ("caratheodory", "zalcman1d"):
         short = run_campaign(CampaignConfig(campaign, seed=4, samples=150))
         longer = run_campaign(CampaignConfig(campaign, seed=4, samples=300))
-        assert longer.rows[:150] == short.rows
+        assert longer.values[:150].tolist() == short.values.tolist()
+        assert longer.margins[:150].tolist() == short.margins.tolist()
 
 
 def test_nan_angle_is_flagged_as_a_violation():

@@ -83,9 +83,9 @@ def test_lifted_rows_equal_their_batch_of_one_replay(norm, dim):
         closed = closed_form_values(spec, zi, rho(space, zi))
         assert closed == (tuple(vals[i].tolist()), value[i])
         assert reduction_crosscheck(space, spec, zi) == red[i]
-        assert reports["ball"].rows[i][1] == value[i]
-        assert reports["domain"].rows[i][1] == value[i]
-        assert reports["reduction"].rows[i][1] == reduction_value(red[i], dual[i])
+        assert reports["ball"].values[i] == value[i]
+        assert reports["domain"].values[i] == value[i]
+        assert reports["reduction"].values[i] == reduction_value(red[i], dual[i])
 
 
 @pytest.mark.parametrize("norm, dim", CONFIGS, ids=[f"{n}-C{d}" for n, d in CONFIGS])
@@ -94,7 +94,7 @@ def test_gradient_rows_equal_their_batch_of_one_replay(norm, dim):
     space = space_of(cfg)
     z, residuals = campaigns._gradient_rows(cfg, space, np.arange(ROWS))
     grad, fd = gradient_rows(space, z), fd_gradient_rows(space, z)
-    rows = run_campaign(cfg).rows
+    values = run_campaign(cfg).values
     for i in range(ROWS):
         zi, replay = campaigns._gradient_sample(cfg, space, i)
         assert zi.tolist() == z[i].tolist()
@@ -102,7 +102,7 @@ def test_gradient_rows_equal_their_batch_of_one_replay(norm, dim):
         assert list(replay.values()) == residuals[i].tolist()
         assert minkowski_gradient(space, zi).entries == tuple(grad[i].tolist())
         assert wirtinger_fd_gradient(space, zi).entries == tuple(fd[i].tolist())
-        assert rows[i][1] == max(replay.values())
+        assert values[i] == max(replay.values())
 
 
 def test_sampled_maps_and_points_keep_their_contracts():
@@ -129,7 +129,8 @@ def test_a_run_is_a_prefix_of_a_longer_run(campaign):
     for norm, dim in (("lp:1.5", 2), ("sup", 3), ("l1", 5)):
         short = run_campaign(config(campaign, norm, dim, samples=40))
         longer = run_campaign(config(campaign, norm, dim, samples=80))
-        assert longer.rows[:40] == short.rows
+        assert longer.values[:40].tolist() == short.values.tolist()
+        assert longer.margins[:40].tolist() == short.margins.tolist()
 
 
 def test_shuffled_indices_give_the_same_rows():
@@ -176,7 +177,7 @@ def test_witnesses_past_the_first_block_carry_their_own_index(monkeypatch):
         cfg = config(campaign, "sup", 3, samples=30)
         space = space_of(cfg)
         rep = run_campaign(cfg)
-        flagged = [i for i, _, margin in rep.rows if not margin >= -cfg.tolerance]
+        flagged = [i for i, margin in enumerate(rep.margins.tolist()) if not margin >= -cfg.tolerance]
         assert [w["index"] for w in rep.violations] == flagged
         assert len([i for i in flagged if i >= 8]) >= 15
         if campaign == "gradients":
@@ -215,7 +216,7 @@ def test_lifted_witnesses_replay_their_values():
     for campaign in ("ball", "domain"):
         cfg = config(campaign, "sup", 3, samples=30)
         rep = run_campaign(cfg)
-        i = max(range(30), key=lambda k: rep.rows[k][1])
+        i = max(range(30), key=lambda k: rep.values[k])
         spec, z = campaigns._lifted_sample(cfg, space_of(cfg), i)
         assert zalcman_nd(space_of(cfg), spec, z, mode=campaign).zalcman == rep.max_value
 

@@ -127,7 +127,9 @@ class CampaignReport:
     ``violations`` holds serialized witnesses; it is nonempty exactly when
     some margin is not >= -tolerance (a NaN margin included).
     ``runtime_ms`` is wall-clock and is the one field not reproducible from
-    the config.
+    the config.  Equality compares the aggregate fields and ``extras``
+    only: two reports that differ only in their values or margins are
+    equal.
     """
 
     campaign: str

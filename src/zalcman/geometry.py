@@ -40,7 +40,6 @@ SPHERE_ATTEMPTS = 1000
 DIRECTION_TOL = 1e-12
 
 _FLOAT_TINY = np.finfo(float).tiny
-_FLOAT_MAX = np.finfo(float).max
 
 
 class ExceptionalPoint(ValueError):
@@ -160,18 +159,11 @@ def _norm_rows(v: np.ndarray, kind: str, p: float | None) -> np.ndarray:
         return v.max(axis=1)
     if kind == "l1":
         return v.sum(axis=1)
-    # Below this largest entry no power sum overflows, so only underflow
-    # needs a check; above it an overflow is expected, and the fallback
-    # takes the rows it hits.
-    if v.size and v.max() < (_FLOAT_MAX / (2 * v.shape[1])) ** (1.0 / p):
+    # An overflowing power sum is expected: the fallback takes its row.
+    with np.errstate(over="ignore"):
         total = np.sum(v ** p, axis=1)
-        in_range = _FLOAT_TINY <= total.min()
-    else:
-        with np.errstate(over="ignore"):
-            total = np.sum(v ** p, axis=1)
-        in_range = not total.size or (_FLOAT_TINY <= total.min() and total.max() < math.inf)
     norm = total ** (1.0 / p)
-    if not in_range:
+    if total.size and not (_FLOAT_TINY <= total.min() and total.max() < math.inf):
         off = ~((_FLOAT_TINY <= total) & (total < math.inf))
         top = v[off].max(axis=1)
         with np.errstate(divide="ignore", invalid="ignore"):

@@ -8,8 +8,8 @@ pure function of (seed, i) under the counter-based stream of
 ``herglotz.uniforms``, and the samples go through one vectorised kernel in
 blocks of at most ``herglotz.SAMPLE_BLOCK`` rows: ``sample_batch`` and the
 moment kernel in one variable; ``mappings.spec_rows``,
-``geometry.point_rows``/``sphere_rows`` and the batched gauge, covector,
-homogeneous-part and reduction kernels in several.  A sample that lands
+``geometry.point_rows``/``sphere_rows``, the batched gauge and covector
+kernels and ``starlike.batch_coeffs`` in several.  A sample that lands
 near the exceptional set draws its next attempt from further draw indices
 of its own stream, so it stays a pure function of (seed, i).  Bound campaigns
 (caratheodory, zalcman1d, ball, domain) track the raw functional value
@@ -69,7 +69,9 @@ DEFAULT_TOLERANCE = 1e-9
 # through the batched several-variables kernels (its values move by ulps).
 # 4: the search draws its starts from the counter stream and ranks its
 # candidates through the batched kernel.
-REPORT_VERSION = 4
+# 5: the lifted functionals are the coefficient recurrence on node moments
+# at z/rho(z), so ball, domain, reduction and sharpness values move by ulps.
+REPORT_VERSION = 5
 
 # Per-check residual tolerances for the identity campaigns; margins are
 # reported as 1 - residual/tolerance so the pass criterion is uniform.
@@ -322,7 +324,7 @@ def _run_gradients(cfg: CampaignConfig, space: SpaceSpec):
 
 def _run_reduction(cfg: CampaignConfig, space: SpaceSpec):
     """The scalar-reduction identities and the agreement of the closed form
-    with its pairing and gradient routes (``mappings.reduction_rows``)."""
+    with its pairing route (``mappings.reduction_rows``)."""
     values = np.concatenate(
         [
             np.maximum(red / REDUCTION_TOL, dual / DUAL_PATH_TOL)
@@ -358,7 +360,7 @@ def _run_sharpness(cfg: CampaignConfig, space: SpaceSpec):
     gauges whose sphere is not smooth along that axis (l1 and lp with
     p < 2) that point lies on E, so the functionals are evaluated by their
     continuous extension ``closed_form_values``, since the closed form
-    f_{k-1}(z)/rho^{k-1} does not involve the gradient at all.
+    f_{k-1}(z/rho) does not involve the gradient at all.
     """
     u = _dyadic_direction(space)
     fv = zalcman_nd(space, make_extremal_ball(space, u), 0.75 * u, mode="ball")

@@ -219,7 +219,7 @@ def support_rows(space: SpaceSpec, v: np.ndarray, r: np.ndarray) -> np.ndarray:
 
     lp:  rho^{1-p} |z_i|^{p-2} conj(z_i)   (0 for z_i = 0, p > 2), as
          (|z_i|/rho)^{p-2} conj(z_i)/rho in the rows where rho^{1-p}
-         overflows;
+         leaves the normal range [tiny, inf);
     sup: conj(z_j)/|z_j| at the unique maximizing index j;
     l1:  conj(z_i)/|z_i| in every coordinate.
     """
@@ -228,12 +228,12 @@ def support_rows(space: SpaceSpec, v: np.ndarray, r: np.ndarray) -> np.ndarray:
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             scale = r ** (1.0 - space.p)
             entries = scale[:, None] * mods ** (space.p - 2.0) * np.conj(v)
-            big = ~np.isfinite(scale)
-            if big.any():
-                # rho^{1-p} overflows at large p; scale each coordinate by
-                # rho first, which keeps the product finite.
-                rb = r[big, None]
-                entries[big] = (mods[big] / rb) ** (space.p - 2.0) * np.conj(v[big]) / rb
+            off = ~((_FLOAT_TINY <= scale) & (scale < math.inf))
+            if off.any():
+                # rho^{1-p} overflows at small gauges and underflows at large
+                # ones; scaling each coordinate by rho first keeps it in range.
+                rb = r[off, None]
+                entries[off] = (mods[off] / rb) ** (space.p - 2.0) * np.conj(v[off]) / rb
         return np.where(mods > 0.0, entries, 0.0)
     if space.kind == "sup":
         rows, j = np.arange(len(v)), np.argmax(mods, axis=1)

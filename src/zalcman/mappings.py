@@ -1,21 +1,23 @@
 """Lifted starlike mappings F(z) = z f(z) on balls and circular domains.
 
 The test family is f(z) = prod_k (1 - l_k(z))^{-2 lam_k} with linear
-functionals l_k of dual norm at most 1 and weights lam_k summing to 1.
-Restricting along a ray through z0 gives the scalar transfer function
+functionals l_k of dual norm at most 1 and weights lam_k summing to 1.  On
+the ray of a unit-gauge point z0, F restricts to g(zeta) = zeta f(zeta z0):
 
-    h(zeta) = 1 + D f(zeta z0)(zeta z0) / f(zeta z0)
+    h(zeta) = zeta g'(zeta) / g(zeta) = 1 + D f(zeta z0)(zeta z0) / f(zeta z0)
             = sum_k lam_k (1 + zeta x_k) / (1 - zeta x_k),   x_k = l_k(z0),
 
-which always has positive real part, certifying starlikeness of F.  The
-order-k coefficient functionals (the support-functional or gauge-gradient
-pairings of D^k F(0)(z^k)/k!, normalized by the k-th gauge power) collapse
-to f_{k-1}(z)/rho(z)^{k-1} through the degree-(k-1) homogeneous part of f,
-so both normalizations, the unit ball's and the circular domain's, are
-evaluated by that one closed form (``zalcman_rows``); the pairings
-themselves (``pairing_rows``, ``functional_A``, ``functional_B``) only
-cross-check it.  The degree-4 combination |A2 A3 - A4| never exceeds 2,
-with equality on the Koebe-type maps built by ``make_extremal_ball`` and
+always has positive real part, certifying starlikeness of F: g is starlike
+with Herglotz nodes x_k and moments p_m = 2 sum_k lam_k x_k^m.  The order-k
+coefficient functionals (the support-functional or gauge-gradient pairings
+of D^k F(0)(z^k)/k!, normalized by the k-th gauge power) are f_{k-1}(z0)
+at z0 = z/rho(z), the coefficient a_k of g, which ``starlike.batch_coeffs``
+computes from the node moments.  Both normalizations, the unit ball's and
+the circular domain's, are that one closed form (``zalcman_rows``); twice
+the gauge gradient is the support functional, so one pairing route
+(``pairing_rows``, ``functional_A``, ``functional_B``) cross-checks it.
+The degree-4 combination |A2 A3 - A4| never exceeds 2, with equality on
+the Koebe-type maps built by ``make_extremal_ball`` and
 ``make_extremal_domain``.
 
 Batches of maps are padded arrays: weights (rows, atoms) and covectors
@@ -51,7 +53,8 @@ from .geometry import (
     support_rows,
 )
 from .herglotz import WEIGHT_TOL, modulus
-from .series import TruncatedSeries, series_div, series_exp
+from .series import TruncatedSeries
+from .starlike import batch_coeffs
 
 DUAL_NORM_TOL = 1e-12
 
@@ -67,10 +70,6 @@ MAX_HOM_DEGREE = 6
 SPEC_ATOMS = 4
 
 Atom = tuple[float, Covector]
-
-# Powers r^1..r^3 and r^2..r^4 that normalize the order-2..4 functionals.
-_CLOSED_POWERS = np.array([1.0, 2.0, 3.0])
-_PAIRING_POWERS = np.array([2.0, 3.0, 4.0])
 
 
 def check_spec_rows(lams: np.ndarray, covs: np.ndarray) -> None:
@@ -189,23 +188,25 @@ def _atom_arrays(spec) -> tuple[np.ndarray, np.ndarray]:
     return lams[0, : len(atoms)], covs[0, : len(atoms)]
 
 
-def hom_rows(lams: np.ndarray, covs: np.ndarray, z: np.ndarray, upto: int) -> np.ndarray:
-    """Values f_0(z)..f_upto(z) of the homogeneous parts of f at every row,
-    as a (rows, upto + 1) array.
-
-    Along the ray t -> tz the map restricts to prod (1 - t x_k)^{-2 lam_k}
-    with x_k = l_k(z), so the degree-j part is the j-th coefficient of
-    exp(sum_m u_m t^m) with u_m = 2 sum_k lam_k x_k^m / m.
-    """
+def _moment_rows(lams: np.ndarray, covs: np.ndarray, z: np.ndarray, upto: int) -> np.ndarray:
+    """Node moments p_1..p_upto, p_m = 2 sum_k lam_k l_k(z)^m, of every row,
+    as a (rows, upto) view of an (upto, rows) array."""
     if not 0 <= upto <= MAX_HOM_DEGREE:
         raise ValueError(f"homogeneous degree capped at {MAX_HOM_DEGREE}")
     x = pair(covs, z[:, None, :])
-    u = np.zeros((len(z), upto + 1), dtype=complex)
+    p = np.empty((upto, len(z)), dtype=complex)
     power = x
-    for m in range(1, upto + 1):
-        u[:, m] = 2.0 * (lams * power).sum(axis=1) / m
+    for m in range(upto):
+        p[m] = 2.0 * (lams * power).sum(axis=1)
         power = power * x
-    return series_exp(u)
+    return p.T
+
+
+def hom_rows(lams: np.ndarray, covs: np.ndarray, z: np.ndarray, upto: int) -> np.ndarray:
+    """Values f_0(z)..f_upto(z) of the homogeneous parts of f at every row,
+    as a (rows, upto + 1) array: the coefficients a_1..a_{upto+1} of
+    g(t) = t f(tz), for t g'/g = 1 + sum_m p_m t^m with the node moments."""
+    return batch_coeffs(_moment_rows(lams, covs, z, upto), upto + 1)
 
 
 def hom_parts(spec, z, upto: int) -> list[complex]:
@@ -213,72 +214,68 @@ def hom_parts(spec, z, upto: int) -> list[complex]:
     return hom_rows(*_padded(spec), np.asarray(z, dtype=complex)[None], upto)[0].tolist()
 
 
-def closed_rows(f: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The order-2..4 functionals f_{k-1}/r^{k-1} of every row of f_0..f_3
-    and gauges r, as a (rows, 3) array, and |A2 A3 - A4| of every row."""
-    vals = f[:, 1:4] / r[:, None] ** _CLOSED_POWERS
+def closed_rows(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The order-2..4 functionals f_1..f_3 (rows, 3) of every row of
+    f_0..f_3 at unit-gauge points, and |A2 A3 - A4| of every row."""
+    vals = f[:, 1:4]
     return vals, modulus(vals[:, 0] * vals[:, 1] - vals[:, 2])
 
 
 def closed_form_values(spec, z, r: float) -> tuple[tuple[complex, complex, complex], float]:
-    """The order-2..4 functionals f_{k-1}(z)/r^{k-1} at z with gauge r, and
+    """The order-2..4 functionals f_{k-1}(z/r) at z with gauge r, and
     |A2 A3 - A4|.
 
     No check that z is off E: this is the continuous extension of the
     functionals, so callers that want the check make it first.
     """
-    f = hom_rows(*_padded(spec), np.asarray(z, dtype=complex)[None], 3)
-    vals, value = closed_rows(f, np.array([r], dtype=float))
+    f = hom_rows(*_padded(spec), np.asarray(z, dtype=complex)[None] / r, 3)
+    vals, value = closed_rows(f)
     return tuple(vals[0].tolist()), float(value[0])
 
 
-def pairing_rows(space: SpaceSpec, f: np.ndarray, v: np.ndarray, r: np.ndarray, mode: str) -> np.ndarray:
-    """The order-2..4 functionals of every row by explicit pairing with
-    D^k F(0)(z^k)/k! = z f_{k-1}(z): with l_z (mode "ball") or with twice
-    the gauge gradient (mode "domain"), over rho(z)^k.
+def pairing_rows(space: SpaceSpec, f: np.ndarray, v: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """The order-2..4 functionals of every row by explicit pairing of l_z
+    with D^k F(0)(z^k)/k! = z f_{k-1}(z), over rho(z)^k: by homogeneity
+    l_z(z0 f_{k-1}(z0)) at z0 = z/rho(z), for ``f`` = f_0..f_3 at z0 and
+    the points ``v`` (rows, dim), already off E, with gauges ``r``.
 
-    Must agree with the closed form because both pairings send z to rho(z)
-    (resp. rho/2).  ``v`` is (rows, dim) and already off E.
+    Must agree with the closed form because l_z(z0) = rho(z0) = 1.  Twice
+    the gauge gradient is l_z, so the domain normalization pairs the same.
     """
-    w = f[:, 1:4, None] * v[:, None, :]
-    l = support_rows(space, v, r)
-    if mode == "ball":
-        paired = pair(l[:, None, :], w)
-    else:
-        paired = 2.0 * pair(0.5 * l[:, None, :], w)
-    return paired / r[:, None] ** _PAIRING_POWERS
+    z0 = v / r[:, None]
+    return pair(support_rows(space, v, r)[:, None, :], f[:, 1:4, None] * z0[:, None, :])
 
 
 def zalcman_rows(
     space: SpaceSpec, lams: np.ndarray, covs: np.ndarray, z: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The order-2..4 functionals f_{k-1}/rho^{k-1} (rows, 3) and
+    """The order-2..4 functionals f_{k-1}(z/rho) (rows, 3) and
     |A2 A3 - A4| (rows,) of every row of a batch of maps and points; raises
     ExceptionalPoint if any point is at the origin or near E."""
     v, r = check_off_exceptional(space, z)
-    return closed_rows(hom_rows(lams, covs, v, 3), r)
+    return closed_rows(hom_rows(lams, covs, v / r[:, None], 3))
 
 
-def _paired(space: SpaceSpec, spec, z, k: int, mode: str) -> complex:
-    """The order-k functional at z by the explicit pairing of ``mode``
-    (see ``pairing_rows``)."""
+def _paired(space: SpaceSpec, spec, z, k: int) -> complex:
+    """The order-k functional at z by explicit pairing (see
+    ``pairing_rows``)."""
     if k not in (2, 3, 4):
         raise ValueError("functional order must be 2, 3 or 4")
     v, r = check_off_exceptional(space, np.asarray(z, dtype=complex)[None])
-    f = hom_rows(*_padded(spec), v, 3)
-    return complex(pairing_rows(space, f, v, r, mode)[0, k - 2])
+    f = hom_rows(*_padded(spec), v / r[:, None], 3)
+    return complex(pairing_rows(space, f, v, r)[0, k - 2])
 
 
 def functional_A(space: SpaceSpec, spec, z, k: int) -> complex:
     """Ball-normalized order-k functional l_z(D^k F(0)(z^k)) / (k! ||z||^k),
     by pairing with the support functional l_z."""
-    return _paired(space, spec, z, k, "ball")
+    return _paired(space, spec, z, k)
 
 
 def functional_B(space: SpaceSpec, spec, z, k: int) -> complex:
-    """Domain-normalized order-k functional 2 (d rho/dz) D^k F(0)(z^k) / (k! rho^k),
-    by pairing with twice the gauge gradient."""
-    return _paired(space, spec, z, k, "domain")
+    """Domain-normalized order-k functional 2 (d rho/dz) D^k F(0)(z^k) / (k! rho^k):
+    twice the gauge gradient is l_z, so this is the pairing of ``functional_A``."""
+    return _paired(space, spec, z, k)
 
 
 def zalcman_nd(space: SpaceSpec, spec, z, mode: str = "ball") -> FunctionalValues:
@@ -291,21 +288,15 @@ def zalcman_nd(space: SpaceSpec, spec, z, mode: str = "ball") -> FunctionalValue
     return FunctionalValues(mode, tuple(vals[0].tolist()), float(value[0]), space, tuple(v.tolist()))
 
 
-def h_rows(f: np.ndarray) -> np.ndarray:
-    """Coefficients of the transfer function of every row of f_0..f_N taken
-    at a unit-gauge point: h = (sum_j (j+1) f_j zeta^j) / (sum_j f_j zeta^j)."""
-    return series_div(f * np.arange(1, f.shape[1] + 1), f)
-
-
 def restrict_h(spec, z0, order: int = MAX_HOM_DEGREE) -> TruncatedSeries:
     """Transfer function h along the ray of z0, as a truncated series.
 
     The caller supplies z0 on the unit sphere of the ambient gauge (the
-    values f_j are gauge-free, the normalization is not).  h_0 = 1, and the
-    coefficients c_k are the moments of a Caratheodory-class function.
+    moments are gauge-free, the normalization is not).  h_0 = 1, and the
+    coefficients c_k are the node moments, of a Caratheodory-class function.
     """
-    f = hom_rows(*_padded(spec), np.asarray(z0, dtype=complex)[None], order)
-    return TruncatedSeries(tuple(h_rows(f)[0].tolist()))
+    p = _moment_rows(*_padded(spec), np.asarray(z0, dtype=complex)[None], order)
+    return TruncatedSeries((1.0,) + tuple(p[0].tolist()))
 
 
 def _transfer(lams: np.ndarray, x: np.ndarray, zeta):
@@ -448,23 +439,23 @@ def reduction_rows(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Scalar-reduction residual and dual-path residual of every row.
 
-    f_0..f_3 are evaluated once at z.  By homogeneity f_j(z0) = f_j(z)/r^j
-    at z0 = z/r, so the closed-form functionals A2..A4 are f_1..f_3 at z0,
-    and the transfer-function coefficients c_k at z0 come from them:
+    The node moments at z0 = z/rho(z) are the transfer-function
+    coefficients c_1..c_3, and the recurrence turns them into the closed
+    form A2..A4 = f_1..f_3 at z0, which must satisfy the explicit formulas
 
         A2 = c_1,  A3 = (c_2 + c_1^2)/2,  A4 = (c_3 + c_1^3/2 + 3 c_1 c_2/2)/3,
         |A2 A3 - A4| = |c_1^3 - c_3|/3.
 
     The reduction residual is the largest absolute residual over these four
     checks; the dual-path residual is the largest disagreement of the
-    closed form with the support-pairing and gradient routes.
+    closed form with the pairing route.
     """
     v, r = check_off_exceptional(space, z)
-    f = hom_rows(lams, covs, v, 3)
-    closed, value = closed_rows(f, r)
-    c = h_rows(np.concatenate([f[:, :1], closed], axis=1))
-    c1, c2, c3 = c[:, 1], c[:, 2], c[:, 3]
-    a2, a3, a4 = closed[:, 0], closed[:, 1], closed[:, 2]
+    c = _moment_rows(lams, covs, v / r[:, None], 3)
+    f = batch_coeffs(c, 4)
+    closed, value = closed_rows(f)
+    c1, c2, c3 = c.T
+    a2, a3, a4 = closed.T
     reduction = np.stack(
         [
             np.abs(value - modulus(c1**3 - c3) / 3.0),
@@ -474,8 +465,7 @@ def reduction_rows(
         ],
         axis=1,
     ).max(axis=1)
-    routes = [pairing_rows(space, f, v, r, mode) for mode in ("ball", "domain")]
-    dual = modulus(np.concatenate([closed - route for route in routes], axis=1)).max(axis=1)
+    dual = modulus(closed - pairing_rows(space, f, v, r)).max(axis=1)
     return reduction, dual
 
 

@@ -5,10 +5,11 @@ function p, which pins its Taylor coefficients through the recurrence
 
     (n - 1) a_n = sum_{k=1}^{n-1} p_k a_{n-k},       a_1 = 1.
 
-The same coefficients fall out of f(z) = z exp(sum_k p_k z^k / k), which is
-kept as an independent cross-check.  The generalized Zalcman functional
-J_{m,n} = a_m a_n - a_{m+n-1} is bounded by (m-1)(n-1) on this class, with
-equality exactly at rotations of the Koebe function z/(1-z)^2.
+The same coefficients fall out of f(z) = z exp(sum_k p_k z^k / k), whose
+series exponential is this recurrence in another summation order: a check
+of the batch plumbing, not of the recurrence.  The generalized Zalcman
+functional J_{m,n} = a_m a_n - a_{m+n-1} is bounded by (m-1)(n-1) on this
+class, with equality exactly at rotations of the Koebe function z/(1-z)^2.
 """
 
 from __future__ import annotations
@@ -165,8 +166,8 @@ def coeffs_from_p(mu: HerglotzMeasure, order: int = MAX_COEFF_ORDER) -> Schlicht
 def coeffs_oracle(mu: HerglotzMeasure, order: int = MAX_COEFF_ORDER) -> SchlichtCoefficients:
     """Same contract as ``coeffs_from_p`` through the exponential route.
 
-    Builds f(z) = z exp(sum_k p_k z^k / k) with the series kernel, so the
-    two paths share no arithmetic beyond the moments p_k.
+    Builds f(z) = z exp(sum_k p_k z^k / k) with the series kernel: the same
+    recurrence in another summation order, so it checks the plumbing only.
     """
     _check_order(order)
     p = batch_moments(*mu.padded(), order - 1)[0].tolist()

@@ -331,8 +331,8 @@ def _nan_a3(out):
 # the poison lands in row 2 of that call's output; the witness replay calls
 # the kernel again, unpoisoned.  The NaN sits after a finite value where it
 # can, since max() skips such a NaN: entry 1 of the finite-difference
-# gradient, and k = 3 of the gradient route (the second pairing_rows call
-# of a reduction block; the first is the support-pairing route).
+# gradient, and k = 3 of the pairing route (the one pairing_rows call of a
+# reduction block).
 NAN_CASES = [
     (small("ball", samples=5, dim=2, norm="l2"), campaigns, "zalcman_rows",
      _nan_value_of_row_2, 0, 2),
@@ -341,7 +341,7 @@ NAN_CASES = [
     (small("gradients", samples=5, dim=2, norm="lp:3"), campaigns, "fd_gradient_rows",
      _nan_entry_1_of_row_2, 0, 2),
     (small("reduction", samples=5, dim=2, norm="l1"), mappings, "pairing_rows",
-     _nan_entry_1_of_row_2, 1, 2),
+     _nan_entry_1_of_row_2, 0, 2),
     (small("sharpness", dim=2, norm="l1"), campaigns, "closed_form_values", _nan_a3, 0, 1),
     (small("search", budget=300), campaigns, "search_extremal",
      lambda result: result._replace(value=math.nan), 0, 0),

@@ -257,3 +257,17 @@ def test_support_functionals_stay_finite_at_large_p():
         assert np.isfinite(l.entries).all()
         assert abs(pair(np.array(l.entries), z) - rho(space, z)) < 1e-15
         assert abs(dual_norm(space, l) - 1.0) < 1e-12
+
+
+def test_support_functionals_stay_finite_at_large_gauges():
+    # rho^{1-p} underflows at these gauges, to 0 at p = 3 and to 0 against
+    # an overflowing |z_i|^{p-2} at p = 250, where the power 248 of
+    # |z_i|/rho multiplies its rounding error by 248.
+    for space, z in (
+        (lp_space(2, 3.0), np.array([1e300, 1e-300j])),
+        (lp_space(2, 250.0), np.array([1e120, 1e120j])),
+    ):
+        l = support_covector(space, z)
+        assert np.isfinite(l.entries).all()
+        assert abs(pair(np.array(l.entries), z) / rho(space, z) - 1.0) < 1e-12
+        assert abs(dual_norm(space, l) - 1.0) < 1e-12

@@ -23,7 +23,7 @@ from zalcman.geometry import (
     support_rows,
     wirtinger_fd_gradient,
 )
-from zalcman.herglotz import SAMPLE_BLOCK, uniforms
+from zalcman.herglotz import SAMPLE_BLOCK, batch_moments, sample_batch, uniforms
 from zalcman.mappings import (
     SPEC_ATOMS,
     closed_form_values,
@@ -37,11 +37,14 @@ from zalcman.mappings import (
     restrict_h,
     zalcman_rows,
 )
+from zalcman.series import TruncatedSeries
+from zalcman.starlike import ZalcmanOrder, batch_coeffs, zalcman_values
 
 NORMS = ("l2", "lp:3", "lp:1.5", "sup", "l1")
 DIMS = (2, 3, 5)
 ROWS = 24
 CONFIGS = [(norm, dim) for norm in NORMS for dim in DIMS]
+RAY_CONFIGS = [(norm, dim) for norm in NORMS for dim in (2, 3)]
 
 
 def config(campaign, norm, dim, samples=ROWS, seed=5):
@@ -61,7 +64,7 @@ def test_lifted_rows_equal_their_batch_of_one_replay(norm, dim):
     support = support_rows(space, z, gauges)
     f = hom_rows(lams, covs, z, 3)
     vals, value = zalcman_rows(space, lams, covs, z)
-    paired = {mode: pairing_rows(space, f, z, gauges, mode) for mode in ("ball", "domain")}
+    paired = pairing_rows(space, hom_rows(lams, covs, z / gauges[:, None], 3), z, gauges)
     red, dual = reduction_rows(space, lams, covs, z)
     norms = dual_norm(space, covs)
     reports = {c: run_campaign(config(c, norm, dim)) for c in ("ball", "domain", "reduction")}
@@ -78,8 +81,8 @@ def test_lifted_rows_equal_their_batch_of_one_replay(norm, dim):
             assert fv.values == tuple(vals[i].tolist())
             assert fv.zalcman == value[i]
         for k in (2, 3, 4):
-            assert functional_A(space, spec, zi, k) == paired["ball"][i, k - 2]
-            assert functional_B(space, spec, zi, k) == paired["domain"][i, k - 2]
+            assert functional_A(space, spec, zi, k) == paired[i, k - 2]
+            assert functional_B(space, spec, zi, k) == paired[i, k - 2]
         closed = closed_form_values(spec, zi, rho(space, zi))
         assert closed == (tuple(vals[i].tolist()), value[i])
         assert reduction_crosscheck(space, spec, zi) == red[i]
@@ -223,16 +226,16 @@ def test_lifted_witnesses_replay_their_values():
 
 def test_homogeneous_parts_are_evaluated_once_per_reduction_row(monkeypatch):
     calls = []
-    real = mappings.hom_rows
+    real = mappings.batch_coeffs
 
-    def counting(lams, covs, z, upto):
-        calls.append((len(z), upto))
-        return real(lams, covs, z, upto)
+    def counting(p, order):
+        calls.append((len(p), order))
+        return real(p, order)
 
-    monkeypatch.setattr(mappings, "hom_rows", counting)
+    monkeypatch.setattr(mappings, "batch_coeffs", counting)
     rep = run_campaign(config("reduction", "lp:1.5", 2, samples=40))
     assert rep.passed
-    assert calls == [(40, 3)]
+    assert calls == [(40, 4)]
 
 
 def test_blocks_never_exceed_the_sample_count_or_sample_block():
@@ -246,10 +249,34 @@ def test_blocks_never_exceed_the_sample_count_or_sample_block():
 
 
 def test_restrict_h_is_the_quotient_of_the_homogeneous_parts():
-    cfg = config("ball", "lp:3", 3)
-    space = space_of(cfg)
-    spec, z = campaigns._lifted_sample(cfg, space, 4)
-    z0 = z / rho(space, z)
-    h = restrict_h(spec, z0)
-    assert h.coeffs == tuple(mappings.h_rows(np.array([hom_parts(spec, z0, 6)]))[0].tolist())
-    assert h.coeffs[0] == 1
+    # h = 1 + D f(zeta z0)(zeta z0)/f(zeta z0) = (sum_j (j+1) f_j zeta^j)/(sum_j f_j zeta^j),
+    # by series division, which shares no arithmetic with the node moments.
+    for norm, dim in (("lp:3", 3), ("sup", 2), ("l1", 3), ("lp:1.5", 2)):
+        cfg = config("ball", norm, dim)
+        space = space_of(cfg)
+        for i in range(ROWS):
+            spec, z = campaigns._lifted_sample(cfg, space, i)
+            z0 = z / rho(space, z)
+            h = restrict_h(spec, z0)
+            f = hom_parts(spec, z0, 6)
+            quotient = TruncatedSeries([(j + 1) * fj for j, fj in enumerate(f)]) / TruncatedSeries(f)
+            assert h.coeffs[0] == 1
+            assert max(abs(a - b) for a, b in zip(h.coeffs, quotient.coeffs)) <= 1e-14
+
+
+@pytest.mark.parametrize("norm, dim", RAY_CONFIGS, ids=[f"{n}-C{d}" for n, d in RAY_CONFIGS])
+def test_the_lifted_kernel_on_a_ray_is_the_one_variable_kernel(norm, dim):
+    # On the ray of a unit point u, the map with atoms (w_k, e^{-i theta_k} l_u)
+    # has nodes x_k = e^{-i theta_k} l_u(u) = e^{-i theta_k}: the Herglotz
+    # atoms of the one-variable sample (w, theta).
+    space = space_of(config("ball", norm, dim))
+    u = np.array([1.0, 0.5j, -0.25][:dim])
+    u = u / rho(space, u)
+    l_u = np.array(support_covector(space, u).entries)
+    weights, angles = sample_batch(11, range(200))
+    covs = np.exp(-1j * angles)[:, :, None] * l_u
+    order = ZalcmanOrder(2, 3)
+    vals, value = zalcman_rows(space, weights, covs, np.tile(0.6 * u, (len(weights), 1)))
+    a = batch_coeffs(batch_moments(weights, angles, 3), 4)
+    assert np.abs(vals - a[:, 1:4]).max() <= 1e-14
+    assert np.abs(value - zalcman_values(weights, angles, order)).max() <= 1e-14

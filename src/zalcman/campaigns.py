@@ -71,7 +71,9 @@ DEFAULT_TOLERANCE = 1e-9
 # candidates through the batched kernel.
 # 5: the lifted functionals are the coefficient recurrence on node moments
 # at z/rho(z), so ball, domain, reduction and sharpness values move by ulps.
-REPORT_VERSION = 5
+# 6: the 1-D phase table holds the node powers e^{ik theta}, from one cos and
+# sin per atom, so caratheodory, zalcman1d and search values move by ulps.
+REPORT_VERSION = 6
 
 # Per-check residual tolerances for the identity campaigns; margins are
 # reported as 1 - residual/tolerance so the pass criterion is uniform.

@@ -197,8 +197,9 @@ def _moment_rows(lams: np.ndarray, covs: np.ndarray, z: np.ndarray, upto: int) -
     p = np.empty((upto, len(z)), dtype=complex)
     power = x
     for m in range(upto):
+        if m:
+            power = power * x
         p[m] = 2.0 * (lams * power).sum(axis=1)
-        power = power * x
     return p.T
 
 

@@ -249,12 +249,13 @@ def _sweep_trials(slots, running, pos, step, weights, angles, table):
     The trials are the slots (see ``_sweep_slots``) of running restarts at
     or after their restart's sweep position ``pos``, selected with one
     mask.  Each trial starts from its restart's weights, angles and
-    atom-major phase table (see ``herglotz.phase_table``), gathered along
-    the row axis.  A weight trial is projected onto the simplex in place,
-    and left out when it has no projection; it keeps its restart's table.
-    An angle trial recomputes only the column of the angle it moves.  So every trial's table is
-    ``phase_table`` of its angles bit for bit, and ``table_values`` ranks
-    it as ``zalcman_values`` would.
+    atom-major phase table of node powers (see ``herglotz.phase_table``),
+    gathered along the row axis.  A weight trial is projected onto the
+    simplex in place, and left out when it has no projection; it keeps its
+    restart's table.  An angle trial recomputes only the column of the angle
+    it moves: one cos and sin of the moved angle, and its powers.  So every
+    trial's table is ``phase_table`` of its angles bit for bit, and
+    ``table_values`` ranks it as ``zalcman_values`` would.
     """
     pick = (running.take(slots.owner) & (slots.position >= pos.take(slots.owner))).nonzero()[0]
     owner, col, on_w = slots.owner.take(pick), slots.column.take(pick), slots.on_weight.take(pick)
@@ -299,9 +300,9 @@ def search_extremal(order: ZalcmanOrder, budget: int, seed: int) -> SearchResult
     and drops the trials after it, to be issued again from the new state
     in the next round.  The sweep slots of all restarts are built once per
     search (``_sweep_slots``), and a round selects its trials from them
-    with one mask.  Each restart keeps the atom-major phase table of its
-    current angles, replaced only on acceptance, so a round computes trig
-    only for the one angle column of each angle trial (see
+    with one mask.  Each restart keeps the atom-major phase table (the node
+    powers) of its current angles, replaced only on acceptance, so a round
+    takes one cos and sin only for the moved angle of each angle trial (see
     ``_sweep_trials``), and every |J| it ranks equals ``zalcman_values`` of
     the trial's row bit for bit.  The result is that
     of running the restarts one after another.  ``budget`` caps the

@@ -1,12 +1,13 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from zalcman import HerglotzMeasure, sample_measure
-from zalcman.herglotz import MAX_ATOMS, SAMPLE_DRAWS, sample_batch, uniforms
+from zalcman.herglotz import MAX_ATOMS, SAMPLE_DRAWS, phase_table, sample_batch, uniforms
 from zalcman.series import TruncatedSeries
 
 from support import measures
@@ -31,14 +32,37 @@ def test_invalid_atom_lists_rejected(atoms):
         HerglotzMeasure(atoms)
 
 
+def exact_phase(theta: float, k: int) -> complex:
+    """e^{i k theta} of the float ``theta``, rounded once from 40 digits."""
+    with mpmath.workdps(40):
+        return complex(mpmath.expj(k * mpmath.mpf(theta)))
+
+
 def test_single_atom_coefficients_lie_on_radius_two():
     mu = HerglotzMeasure(((1.0, 0.7),))
     for n in range(1, 8):
         pn = mu.coefficient(n)
         assert abs(abs(pn) - 2.0) < 1e-15
-        assert abs(pn - 2 * cmath.exp(-1j * n * 0.7)) < 1e-15
+        assert abs(pn - 2 * exact_phase(0.7, n).conjugate()) < 1e-15
     with pytest.raises(ValueError):
         mu.coefficient(0)
+
+
+def test_phase_table_is_within_1e15_of_the_exact_node_powers():
+    # cos and sin of the rounded product k theta miss by up to 1.8e-15 on
+    # these angles for k <= 7; the node powers stay within 1e-15.
+    special = [0.0, math.pi, 1e-300, math.nextafter(2.0 * math.pi, 0.0)]
+    thetas = special + np.random.default_rng(5).uniform(0.0, 2.0 * math.pi, 496).tolist()
+    count = 7
+    table = phase_table(np.array(thetas)[:, None], count)[0]
+    assert table.shape == (2 * count, len(thetas))
+    for r, theta in enumerate(thetas):
+        for k in range(1, count + 1):
+            exact = exact_phase(theta, k)
+            assert abs(table[k - 1, r] - exact.real) <= 1e-15, (theta, k)
+            assert abs(table[count + k - 1, r] - exact.imag) <= 1e-15, (theta, k)
+    # An angle of 0 (a padding atom) gives exactly 1 and 0.
+    assert (table[:count, 0] == 1.0).all() and (table[count:, 0] == 0.0).all()
 
 
 def test_margin_examples_pin_the_three_inequalities():

@@ -236,7 +236,7 @@ def test_batched_search_equals_the_sequential_search(order, seed):
 
 
 def test_search_keeps_an_atom_whose_weight_was_clipped_to_zero():
-    o, budget, seed = ZalcmanOrder(2, 4), 200, 2
+    o, budget, seed = ZalcmanOrder(2, 4), 200, 0
     result = search_extremal(o, budget, seed)
     assert result == _reference_search(o, seed, (budget,))[budget]
     weights = [w for w, _ in result.measure.atoms]

@@ -2,8 +2,10 @@
 
 The reports were built with numpy's sum over the atoms of a
 (rows, count, atoms) phase table and over the terms of each convolution of
-the coefficient recurrence.  The references below keep that arithmetic, and
-the kernel must equal it under ==, so that no report changes.
+the coefficient recurrence.  The references below keep those sums, on the
+node powers of ``phase_table`` moved to (rows, count, atoms), and the
+kernel must equal them under ==, so that its written-out summation order
+changes no report.
 """
 
 import itertools
@@ -33,11 +35,13 @@ ORDERS = [ZalcmanOrder(m, n) for m, n in itertools.product((2, 3, 4), repeat=2)]
 
 
 def reference_moments(weights, angles, count):
-    phase = np.arange(1, count + 1)[:, None] * angles[:, None, :]
+    # The kernel's phase table moved to (rows, 2 count, atoms), so that the
+    # sum over the atoms runs along numpy's contiguous last axis.
+    table = np.ascontiguousarray(phase_table(angles, count).transpose(2, 1, 0))
     w = weights[:, None, :]
-    p = np.empty(phase.shape[:2], dtype=complex)
-    p.real = 2.0 * (w * np.cos(phase)).sum(axis=-1)
-    p.imag = -2.0 * (w * np.sin(phase)).sum(axis=-1)
+    p = np.empty((len(weights), count), dtype=complex)
+    p.real = 2.0 * (w * table[:, :count]).sum(axis=-1)
+    p.imag = -2.0 * (w * table[:, count:]).sum(axis=-1)
     return p
 
 

@@ -86,57 +86,60 @@ def check_atoms(weights: np.ndarray, angles: np.ndarray) -> None:
         raise ValueError(f"atom weights sum to {total[off][0]}, expected 1")
 
 
-def phase_table(angles: np.ndarray, count: int) -> np.ndarray:
-    """Re and Im of the node powers x^k, x = e^{i theta}, for k = 1..count
-    at every atom of every row of ``angles``, as one atom-major
-    (atoms, 2 count, rows) table: entry [i, k - 1, r] is Re x^k ~ cos(k
-    angles[r, i]) and [i, count + k - 1, r] is Im x^k ~ sin(k angles[r, i]).
+def node_table(re: np.ndarray, im: np.ndarray, count: int) -> np.ndarray:
+    """Re and Im of the powers x^k, k = 1..count, of the nodes x = re + i im
+    ((rows, atoms) arrays) as one atom-major (atoms, 2 count, rows) table:
+    entry [i, k - 1, r] is Re x[r, i]^k and [i, count + k - 1, r] its Im.
 
-    cos and sin are taken once per atom; x^k = x^{k-1} x is then formed by
-    real multiplies and adds, each rounded on its own.  numpy's complex
-    multiply fuses multiply-adds on some of its code paths and not on
-    others, so with it a batch-of-one table could differ from its row of
-    the full table.  For k <= 7 over 3000 random angles, the entries were
-    within 7.9e-16 of the exact e^{ik theta} of the float angle, and cos
-    and sin of the rounded product k theta within 3.6e-15.  An angle of 0
-    (a padding atom) gives exactly 1 and 0.
-
-    Atom-major so that ``table_moments`` adds whole contiguous atom slabs
-    and a batch of rows is a gather along the last axis.  Entry [i, :, r]
-    depends on angles[r, i] alone, so a table whose column is recomputed
-    from a single angle equals the table of the whole row bit for bit.
+    x^k = x^{k-1} x takes real multiplies and adds, each rounded on its own
+    (numpy's complex multiply fuses multiply-adds on some code paths only),
+    so a column recomputed from one node equals the full table's bit for
+    bit.  Atom-major: ``table_moments`` adds contiguous atom slabs.
     """
-    table = np.empty((angles.shape[1], 2 * count, len(angles)))
-    # The powers are built in arrays of their own and copied in: a multiply
-    # that read one table slab and wrote another would copy its input first.
-    # Contiguous (atoms, rows) angles keep those arrays in the table's order.
-    at = np.ascontiguousarray(angles.T)
-    cos, sin = np.cos(at), np.sin(at)
-    re, im = cos, sin
+    table = np.empty((re.shape[1], 2 * count, len(re)))
+    # The powers are built in arrays of their own, in place where that saves
+    # a temporary, and copied in: a multiply that read one table slab and
+    # wrote another would copy its input first.
+    xr, xi = cos, sin = re.T, im.T
     for k in range(count):
         if k:
-            re, im = re * cos - im * sin, im * cos + re * sin
-        table[:, k], table[:, count + k] = re, im
+            cross = xr * sin
+            xr = xr * cos
+            xr -= xi * sin
+            xi = xi * cos
+            xi += cross
+        table[:, k], table[:, count + k] = xr, xi
     return table
 
 
-def table_moments(weights: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """Moments p_k = 2 sum_i w_i conj(x_i^k) of every row, at the nodes
-    x_i = e^{i theta_i}, from its (rows, MAX_ATOMS) weights and its phase
-    table of node powers (see ``phase_table``), as a (rows, count) view of a
-    (count, rows) array.
+def phase_table(angles: np.ndarray, count: int) -> np.ndarray:
+    """``node_table`` of the unit nodes e^{i theta} of ``angles``, from one
+    cos and sin per atom: within 7.9e-16 of cos and sin of k theta for
+    k <= 7 over 3000 random angles (3.6e-15 for cos and sin of the rounded
+    product k theta), and exactly 1 and 0 at an angle of 0 (padding)."""
+    at = angles.T.copy()
+    # sin overwrites this private (atoms, rows) copy once cos has read it.
+    return node_table(np.cos(at).T, np.sin(at, out=at).T, count)
 
-    The eight atom slabs are added as ((a0 + a1) + (a2 + a3)) + ((a4 + a5)
-    + (a6 + a7)), the order in which numpy's pairwise sum adds eight terms.
-    The reports were built with numpy's sum over the atoms, so this order
-    keeps every moment equal to it under == (numpy starts from +0.0, so
-    only the sign of a sum of eight negative zeros can differ, which no
-    modulus shows), without numpy's per-row cost of reducing a short axis.
+
+def table_moments(weights: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Moments p_k = 2 sum_i w_i conj(x_i^k) of every row, from its
+    (rows, atoms) weights and its ``node_table``, as a (rows, count) view of
+    a (count, rows) array: at the unit nodes of ``phase_table``, the
+    Herglotz moments.  Consumes the table (weighted and summed in place), so
+    a caller that reads it again passes a copy.
+
+    The atoms, a power of two of them, are added by halving: eight as
+    ((a0 + a1) + (a2 + a3)) + ((a4 + a5) + (a6 + a7)), the order of numpy's
+    pairwise sum, so every one-variable moment stays equal under == to the
+    numpy sum the reports were built with (numpy starts from +0.0, so only
+    the sign of a sum of eight negative zeros can differ, which no modulus
+    shows), without numpy's per-row cost of reducing a short axis.
     """
+    if len(table) & (len(table) - 1):
+        raise ValueError(f"{len(table)} atoms: the halving needs a power of two")
     # Atom-major weights make the broadcast multiply read them contiguously.
-    # The halving adds into the product array in place; the caller's table
-    # (cached by the search) is never written.
-    terms = table * np.ascontiguousarray(weights.T)[:, None, :]
+    terms = np.multiply(table, np.ascontiguousarray(weights.T)[:, None, :], out=table)
     while len(terms) > 1:
         half = terms[0::2]
         half += terms[1::2]

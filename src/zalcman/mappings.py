@@ -8,25 +8,26 @@ the ray of a unit-gauge point z0, F restricts to g(zeta) = zeta f(zeta z0):
             = sum_k lam_k (1 + zeta x_k) / (1 - zeta x_k),   x_k = l_k(z0),
 
 always has positive real part, certifying starlikeness of F: g is starlike
-with Herglotz nodes x_k and moments p_m = 2 sum_k lam_k x_k^m.  The order-k
-coefficient functionals (the support-functional or gauge-gradient pairings
-of D^k F(0)(z^k)/k!, normalized by the k-th gauge power) are f_{k-1}(z0)
-at z0 = z/rho(z), the coefficient a_k of g, which ``starlike.batch_coeffs``
-computes from the node moments.  Both normalizations, the unit ball's and
-the circular domain's, are that one closed form (``zalcman_rows``); twice
-the gauge gradient is the support functional, so one pairing route
-(``pairing_rows``, ``functional_A``, ``functional_B``) cross-checks it.
-The degree-4 combination |A2 A3 - A4| never exceeds 2, with equality on
-the Koebe-type maps built by ``make_extremal_ball`` and
-``make_extremal_domain``.
+with Herglotz nodes x_k and moments p_m = 2 sum_k lam_k x_k^m, so the
+functionals are the one-variable kernel (``herglotz.node_table``,
+``table_moments``, ``starlike.batch_coeffs``) at the lifted nodes.  The
+order-k coefficient functionals (the support-functional or gauge-gradient
+pairings of D^k F(0)(z^k)/k!, normalized by the k-th gauge power) are
+f_{k-1}(z0) at z0 = z/rho(z), the coefficient a_k of g.  Both
+normalizations, the unit ball's and the circular domain's, are that one
+closed form (``zalcman_rows``); twice the gauge gradient is the support
+functional, so one pairing route (``pairing_rows``, ``functional_A``,
+``functional_B``) cross-checks it.  The degree-4 combination
+|A2 A3 - A4| = |J_{2,3}| of g never exceeds 2, with equality on the
+Koebe-type maps built by ``make_extremal_ball`` and ``make_extremal_domain``.
 
 Batches of maps are padded arrays: weights (rows, atoms) and covectors
-(rows, atoms, dim), whose padding atoms have weight 0 and covector 0.  The
-sampler, the homogeneous parts, the functionals and the reduction check
-work on whole batches; ``hom_parts``, ``closed_form_values``,
-``zalcman_nd``, ``functional_A``, ``functional_B``, ``restrict_h``,
-``reduction_crosscheck`` and ``sample_lifted_spec`` are batch-of-one calls
-into the same functions.
+(rows, atoms, dim), a power of two of atoms, whose padding atoms have
+weight 0 and covector 0.  The sampler, the homogeneous parts, the
+functionals and the reduction check work on whole batches; ``hom_parts``,
+``closed_form_values``, ``zalcman_nd``, ``functional_A``, ``functional_B``,
+``restrict_h``, ``reduction_crosscheck`` and ``sample_lifted_spec`` are
+batch-of-one calls into the same functions.
 """
 
 from __future__ import annotations
@@ -52,14 +53,14 @@ from .geometry import (
     support_covector,
     support_rows,
 )
-from .herglotz import WEIGHT_TOL, modulus
+from .herglotz import WEIGHT_TOL, modulus, node_table, table_moments
 from .series import TruncatedSeries
-from .starlike import batch_coeffs
+from .starlike import ZalcmanOrder, batch_coeffs, batch_zalcman
 
 DUAL_NORM_TOL = 1e-12
 
-# The closed-form scan witness halves its offset from the pole down to this.
-POLE_EPS_FLOOR = 1e-13
+# Least offset of the closed-form scan witness from the pole: a few ulps of 1.
+POLE_EPS_FLOOR = 4 * np.finfo(float).eps
 
 # Homogeneous parts are computed through degree 6: enough for the degree-4
 # functionals plus the transfer-function coefficients c_1..c_3 with headroom.
@@ -68,6 +69,8 @@ MAX_HOM_DEGREE = 6
 # Atoms of a sampled map, and the least width of padded atom arrays, so a
 # replayed sample has the shape of its batch row.
 SPEC_ATOMS = 4
+
+RAY_ORDER = ZalcmanOrder(2, 3)  # |A2 A3 - A4| = |J_{2,3}| of the ray function g
 
 Atom = tuple[float, Covector]
 
@@ -117,8 +120,8 @@ class LiftedMapSpec:
         return cls(tuple(zip(lams.tolist(), map(Covector, covs.tolist()))))
 
     def padded(self) -> tuple[np.ndarray, np.ndarray]:
-        """Weights (1, W) and covectors (1, W, dim), W = max(SPEC_ATOMS,
-        atoms), padded with zero atoms: the layout of a sampled batch."""
+        """Weights (1, W) and covectors (1, W, dim) padded with zero atoms to
+        the least power of two W >= max(SPEC_ATOMS, atoms): a batch's layout."""
         return _padded(self)
 
     def to_json(self) -> dict:
@@ -172,7 +175,7 @@ def _padded(spec) -> tuple[np.ndarray, np.ndarray]:
     """Atoms of ``spec`` (a LiftedMapSpec or (lam, b) pairs, unchecked) as
     padded arrays of one row; see ``LiftedMapSpec.padded``."""
     atoms = _atoms_of(spec)
-    width = max(SPEC_ATOMS, len(atoms))
+    width = 1 << (max(SPEC_ATOMS, len(atoms)) - 1).bit_length()
     lams = np.zeros((1, width))
     covs = np.zeros((1, width, len(atoms[0][1].entries)), dtype=complex)
     lams[0, : len(atoms)] = [lam for lam, _ in atoms]
@@ -189,18 +192,12 @@ def _atom_arrays(spec) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _moment_rows(lams: np.ndarray, covs: np.ndarray, z: np.ndarray, upto: int) -> np.ndarray:
-    """Node moments p_1..p_upto, p_m = 2 sum_k lam_k l_k(z)^m, of every row,
-    as a (rows, upto) view of an (upto, rows) array."""
+    """Node moments p_m = 2 sum_k lam_k x_k^m, x_k = l_k(z), m = 1..upto, as
+    ``table_moments`` (which conjugates) of the powers of conj(x)."""
     if not 0 <= upto <= MAX_HOM_DEGREE:
         raise ValueError(f"homogeneous degree capped at {MAX_HOM_DEGREE}")
     x = pair(covs, z[:, None, :])
-    p = np.empty((upto, len(z)), dtype=complex)
-    power = x
-    for m in range(upto):
-        if m:
-            power = power * x
-        p[m] = 2.0 * (lams * power).sum(axis=1)
-    return p.T
+    return table_moments(lams, node_table(x.real, -x.imag, upto))
 
 
 def hom_rows(lams: np.ndarray, covs: np.ndarray, z: np.ndarray, upto: int) -> np.ndarray:
@@ -215,13 +212,6 @@ def hom_parts(spec, z, upto: int) -> list[complex]:
     return hom_rows(*_padded(spec), np.asarray(z, dtype=complex)[None], upto)[0].tolist()
 
 
-def closed_rows(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The order-2..4 functionals f_1..f_3 (rows, 3) of every row of
-    f_0..f_3 at unit-gauge points, and |A2 A3 - A4| of every row."""
-    vals = f[:, 1:4]
-    return vals, modulus(vals[:, 0] * vals[:, 1] - vals[:, 2])
-
-
 def closed_form_values(spec, z, r: float) -> tuple[tuple[complex, complex, complex], float]:
     """The order-2..4 functionals f_{k-1}(z/r) at z with gauge r, and
     |A2 A3 - A4|.
@@ -230,8 +220,7 @@ def closed_form_values(spec, z, r: float) -> tuple[tuple[complex, complex, compl
     functionals, so callers that want the check make it first.
     """
     f = hom_rows(*_padded(spec), np.asarray(z, dtype=complex)[None] / r, 3)
-    vals, value = closed_rows(f)
-    return tuple(vals[0].tolist()), float(value[0])
+    return tuple(f[0, 1:].tolist()), float(modulus(batch_zalcman(f, RAY_ORDER))[0])
 
 
 def pairing_rows(space: SpaceSpec, f: np.ndarray, v: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -254,7 +243,8 @@ def zalcman_rows(
     |A2 A3 - A4| (rows,) of every row of a batch of maps and points; raises
     ExceptionalPoint if any point is at the origin or near E."""
     v, r = check_off_exceptional(space, z)
-    return closed_rows(hom_rows(lams, covs, v / r[:, None], 3))
+    f = hom_rows(lams, covs, v / r[:, None], 3)
+    return f[:, 1:], modulus(batch_zalcman(f, RAY_ORDER))
 
 
 def _paired(space: SpaceSpec, spec, z, k: int) -> complex:
@@ -364,14 +354,14 @@ def pole_witness(space: SpaceSpec, spec) -> ScanWitness | None:
     """A point where Re h <= 0, in closed form, when some atom of positive
     weight has dual norm above 1 + DUAL_NORM_TOL; None otherwise.
 
-    At the unit-gauge norming point z0 of the atom of largest dual norm
-    (``geometry.norming_rows``), b(z0) = ||b||_* > 1 puts the pole 1/b(z0)
-    of its term inside the disk.  At zeta = (1 + eps)/b(z0), with
-    0 < eps < |b(z0)| - 1 so that |zeta| < 1, that term is
-    -lam (2 + eps)/eps, which outweighs the others as eps shrinks.  eps
-    starts at (|b(z0)| - 1)/2 and halves until Re h <= 0, or until it falls
-    below POLE_EPS_FLOOR: an atom whose weight is too small for that leaves
-    a witness with Re h > 0, and the map still fails.
+    At the unit-gauge norming point z0 of the atom k of largest dual norm
+    (``geometry.norming_rows``), x_k = b_k(z0) = ||b_k||_* > 1 puts the pole
+    1/x_k of its term inside the disk.  At zeta = (1 + eps)/x_k, with
+    0 < eps < |x_k| - 1 so that |zeta| < 1, that term is
+    -2 lam_k (1 + eps)/eps.  From eps = (|x_k| - 1)/2, while Re h > 0, eps
+    becomes the least of eps/2 and lam_k/(B + 1), B the rest of Re h, but
+    at least POLE_EPS_FLOOR, so h is never evaluated at the pole: an atom
+    lighter than about B POLE_EPS_FLOOR / 2 leaves Re h > 0, and fails.
     """
     lams, covs = _atom_arrays(spec)
     norms = np.where(lams > 0.0, dual_norm(space, covs), 0.0)
@@ -379,14 +369,17 @@ def pole_witness(space: SpaceSpec, spec) -> ScanWitness | None:
     if not norms[k] > 1.0 + DUAL_NORM_TOL:
         return None
     z0 = norming_rows(space, covs[k][None])[0]
-    bz = complex(pair(covs[k], z0))
+    x = pair(covs, z0)
+    bz, others = complex(x[k]), np.arange(len(lams)) != k
     eps = (abs(bz) - 1.0) / 2.0
     while True:
         zeta = (1.0 + eps) / bz
-        h = h_eval(spec, z0, zeta)
-        if h.real <= 0.0 or eps < POLE_EPS_FLOOR:
+        h = _transfer(lams, x, zeta)
+        if h.real <= 0.0 or eps <= POLE_EPS_FLOOR:
             return ScanWitness(tuple(z0.tolist()), complex(zeta), complex(h))
-        eps /= 2.0
+        # min and max keep the halving when the bound is NaN.
+        rest = _transfer(lams[others], x[others], zeta).real
+        eps = max(POLE_EPS_FLOOR, min(eps / 2.0, lams[k] / (rest + 1.0)))
 
 
 def starlikeness_scan(
@@ -454,19 +447,18 @@ def reduction_rows(
     v, r = check_off_exceptional(space, z)
     c = _moment_rows(lams, covs, v / r[:, None], 3)
     f = batch_coeffs(c, 4)
-    closed, value = closed_rows(f)
     c1, c2, c3 = c.T
-    a2, a3, a4 = closed.T
+    a2, a3, a4 = f[:, 1:].T
     reduction = np.stack(
         [
-            np.abs(value - modulus(c1**3 - c3) / 3.0),
+            np.abs(modulus(batch_zalcman(f, RAY_ORDER)) - modulus(c1**3 - c3) / 3.0),
             modulus(a2 - c1),
             modulus(a3 - (c2 + c1**2) / 2.0),
             modulus(a4 - (c3 + c1**3 / 2.0 + 1.5 * c1 * c2) / 3.0),
         ],
         axis=1,
     ).max(axis=1)
-    dual = modulus(closed - pairing_rows(space, f, v, r)).max(axis=1)
+    dual = modulus(f[:, 1:] - pairing_rows(space, f, v, r)).max(axis=1)
     return reduction, dual
 
 

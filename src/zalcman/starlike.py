@@ -138,8 +138,8 @@ def batch_zalcman(a: np.ndarray, order: ZalcmanOrder) -> np.ndarray:
 def table_values(weights: np.ndarray, table: np.ndarray, order: ZalcmanOrder) -> np.ndarray:
     """|J_{m,n}| of every row from its (rows, MAX_ATOMS) weights and its
     atom-major phase table of p_1..p_{m+n-2} (see ``herglotz.phase_table``),
-    through ``table_moments`` and ``batch_coeffs``, whose written-out sums
-    keep every value equal to numpy's reductions under ==."""
+    through ``table_moments`` (which consumes the table) and ``batch_coeffs``,
+    whose written-out sums keep every value equal to numpy's reductions under ==."""
     a = batch_coeffs(table_moments(weights, table), order.top_coefficient)
     return modulus(batch_zalcman(a, order))
 
@@ -319,7 +319,7 @@ def search_extremal(order: ZalcmanOrder, budget: int, seed: int) -> SearchResult
         raise ValueError(f"budget must be between 0 and {MAX_BUDGET}")
     weights, angles, counts = search_starts(seed)
     table = phase_table(angles, order.top_coefficient - 1)
-    current = table_values(weights, table, order)
+    current = table_values(weights, table.copy(), order)
     first = int(np.argmax(current))
     best = (float(current[first]), weights[first].copy(), angles[first].copy(), counts[first])
 
@@ -339,7 +339,7 @@ def search_extremal(order: ZalcmanOrder, budget: int, seed: int) -> SearchResult
         if not running.any():
             break
         owner, j, tw, ta, tt = _sweep_trials(slots, running, pos, step, weights, angles, table)
-        vals = table_values(tw, tt, order)
+        vals = table_values(tw, tt.copy(), order)  # the winners' columns are read below
 
         # Each restart takes its first improving trial; the rest are dropped.
         # The trials are grouped by restart, so a hit opens its restart's run

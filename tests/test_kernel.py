@@ -6,6 +6,7 @@ the kernel's rows exactly, so these checks use ==, never isclose.
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 
@@ -27,6 +28,7 @@ from zalcman.herglotz import (
     sample_batch,
     sample_blocks,
 )
+from zalcman.series import DEFAULT_ORDER
 from zalcman.starlike import MAX_COEFF_ORDER, batch_coeffs, batch_zalcman, zalcman_values
 
 ROWS = 10_000
@@ -96,3 +98,23 @@ def test_nan_angle_is_flagged_as_a_violation():
     order = ZalcmanOrder(2, 3)
     values = zalcman_values(weights, angles, order)
     assert violation_rows(order.bound - values, 1e-9).tolist() == [5]
+
+
+def test_the_moment_kernel_makes_no_table_sized_temporary():
+    # table_moments weights its table in place, so a batch peaks at about
+    # its table plus small per-node arrays, not at a second table.
+    weights, angles = sample_batch(5, np.arange(ROWS))
+    order = ZalcmanOrder(4, 4)
+    calls = [
+        (lambda: zalcman_values(weights, angles, order), order.top_coefficient - 1),
+        (lambda: batch_margins(weights, angles), DEFAULT_ORDER),
+    ]
+    for call, count in calls:
+        table_bytes = MAX_ATOMS * 2 * count * ROWS * 8
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.6 * table_bytes, peak / table_bytes

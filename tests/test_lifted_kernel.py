@@ -23,7 +23,7 @@ from zalcman.geometry import (
     support_rows,
     wirtinger_fd_gradient,
 )
-from zalcman.herglotz import SAMPLE_BLOCK, batch_moments, sample_batch, uniforms
+from zalcman.herglotz import SAMPLE_BLOCK, batch_moments, phase_table, sample_batch, uniforms
 from zalcman.mappings import (
     SPEC_ATOMS,
     closed_form_values,
@@ -280,3 +280,33 @@ def test_the_lifted_kernel_on_a_ray_is_the_one_variable_kernel(norm, dim):
     a = batch_coeffs(batch_moments(weights, angles, 3), 4)
     assert np.abs(vals - a[:, 1:4]).max() <= 1e-14
     assert np.abs(value - zalcman_values(weights, angles, order)).max() <= 1e-14
+
+
+@pytest.mark.parametrize("dim", (2, 3))
+def test_the_lifted_kernel_at_unit_nodes_is_the_one_variable_kernel_bit_for_bit(dim):
+    # Lifts along e_1 whose node entries cos - i sin are phase_table's own
+    # cos and sin: at e_1 their nodes are the one-variable unit nodes
+    # exactly, and the lifted moments are the same kernel on the same
+    # table, so every value must be equal, not just close.
+    weights, angles = sample_batch(11, range(2000))
+    unit = phase_table(angles, 1)
+    covs = np.zeros(weights.shape + (dim,), dtype=complex)
+    covs[:, :, 0] = (unit[:, 0] - 1j * unit[:, 1]).T
+    e1 = np.zeros((len(weights), dim), dtype=complex)
+    e1[:, 0] = 1.0
+    a = batch_coeffs(batch_moments(weights, angles, 3), 4)
+    value = zalcman_values(weights, angles, ZalcmanOrder(2, 3))
+    assert (hom_rows(weights, covs, e1, 3) == a).all()
+    # At e_1/2 the gauge is exactly 1/2 on every family; on l1 and lp:1.5
+    # the point lies on E, so the closed form is taken without the check.
+    for norm in ("l2", "lp:3", "sup"):
+        vals, lifted = zalcman_rows(space_of(config("ball", norm, dim)), weights, covs, e1 / 2)
+        assert (vals == a[:, 1:]).all() and (lifted == value).all()
+    # Specs of their live atoms only: 1..4 atoms pad to 4 and 5..8 to 8,
+    # and the padding atoms add exact zeros.
+    for i in range(200):
+        live = weights[i] > 0
+        spec = LiftedMapSpec.from_row(weights[i, live], covs[i, live])
+        assert spec.padded()[0].shape == (1, 4 if live.sum() <= 4 else 8)
+        assert hom_parts(spec, e1[i], 3) == a[i].tolist()
+        assert closed_form_values(spec, e1[i] / 2, 0.5) == (tuple(a[i, 1:].tolist()), value[i])

@@ -448,6 +448,21 @@ def test_pole_witness_ignores_atoms_of_zero_weight_and_tolerates_rounding():
     assert pole_witness(E2, single_atom((1.0 + 2.0 * DUAL_NORM_TOL, 0.0))) is not None
 
 
+@pytest.mark.parametrize("lam", [1e-3, 1e-9, 1e-13, 1e-15, 1e-16])
+def test_pole_witness_of_a_light_atom(lam):
+    # The heavy atom's term is about 1 at the light atom's pole 2/3, so the
+    # offset must fall to about lam/2.  At 1e-16 no float offset is that
+    # small: the witness keeps Re h > 0, and the map still fails.
+    spec = LiftedMapSpec(((1.0 - lam, Covector((0.5, 0.0))), (lam, Covector((0.0, 1.5)))))
+    w = pole_witness(E2, spec)
+    rep = starlikeness_scan(E2, spec)
+    assert w is not None and not rep.passed
+    assert abs(w.zeta) < 1.0
+    assert h_eval(spec, list(w.direction), w.zeta) == w.h_value
+    if lam >= 1e-15:
+        assert w.h_value.real <= 0.0 and rep.witness == w and rep.min_real == w.h_value.real
+
+
 def per_direction_scan(space, spec, grid, seed):
     """The scan as it was written before its directions were batched: one
     ``sample_direction`` draw and one ``h_eval`` call per direction, with

@@ -5,9 +5,9 @@ over a deterministic pseudo-random stream, so reports are reproducible,
 order-independent, and safe to shard.  In every sampled campaign
 (caratheodory, zalcman1d, ball, domain, gradients, reduction) sample i is a
 pure function of (seed, i) under the counter-based stream of
-``herglotz.uniforms``, and the samples go through one vectorised kernel in
-blocks of at most ``herglotz.SAMPLE_BLOCK`` rows: ``sample_batch`` and the
-moment kernel in one variable; ``mappings.spec_rows``,
+``herglotz.uniforms``, and ``_walk``, the one loop over a run's samples,
+hands blocks of at most ``SAMPLE_BLOCK`` indices to one vectorised kernel:
+``sample_batch`` and the moment kernel in one variable; ``mappings.spec_rows``,
 ``geometry.point_rows``/``sphere_rows``, the batched gauge and covector
 kernels and ``starlike.batch_coeffs`` in several.  A sample that lands
 near the exceptional set draws its next attempt from further draw indices
@@ -47,7 +47,7 @@ from .geometry import (
     sphere_rows,
     sup_space,
 )
-from .herglotz import SAMPLE_BLOCK, batch_margins, modulus, sample_blocks, sample_measure, uniforms
+from .herglotz import batch_margins, modulus, sample_batch, sample_measure, uniforms
 from .mappings import (
     LiftedMapSpec,
     closed_form_values,
@@ -90,6 +90,10 @@ SHARPNESS_TOL = 1e-12
 # Order of the normalized residuals of a gradients sample.
 GRADIENT_CHECKS = ("euler", "scale", "phase", "fd")
 
+# Rows per block when a run walks its samples, so that the batch
+# temporaries stay a few MB however many samples the run has.
+SAMPLE_BLOCK = 10_000
+
 # A several-variables block holds at most this many rows x dim, so its
 # atom arrays stay a few MB whatever the dimension.
 LIFTED_BLOCK_ENTRIES = 50_000
@@ -121,8 +125,6 @@ class CampaignConfig:
     order: tuple[int, int] = (2, 3)
     budget: int = 4000
     tolerance: float = DEFAULT_TOLERANCE
-    out: str | None = None
-    format: str = "json"
 
 
 @dataclass(frozen=True)
@@ -201,10 +203,19 @@ def violation_rows(margins: np.ndarray, tolerance: float) -> np.ndarray:
     return np.flatnonzero(~(margins >= -tolerance))
 
 
-def _run_caratheodory(cfg: CampaignConfig, _space):
-    margins = np.concatenate(
-        [batch_margins(w, a).min(axis=1) for _, w, a in sample_blocks(cfg.seed, cfg.samples)]
-    )
+def _walk(cfg: CampaignConfig, space: SpaceSpec | None, rows) -> np.ndarray:
+    """``rows(indices)`` of every block of the sample indices 0..samples-1,
+    concatenated in sample order.  A block holds at most SAMPLE_BLOCK
+    indices, and at most LIFTED_BLOCK_ENTRIES // dim in several variables
+    (``space`` is None in one variable)."""
+    dim = 1 if space is None else space.dim
+    block = min(SAMPLE_BLOCK, max(1, LIFTED_BLOCK_ENTRIES // dim))
+    starts = range(0, cfg.samples, block)
+    return np.concatenate([rows(np.arange(first, min(first + block, cfg.samples))) for first in starts])
+
+
+def _run_caratheodory(cfg: CampaignConfig, space):
+    margins = _walk(cfg, space, lambda idx: batch_margins(*sample_batch(cfg.seed, idx)).min(axis=1))
 
     def witness(i):
         mu = sample_measure(cfg.seed, i)
@@ -213,11 +224,9 @@ def _run_caratheodory(cfg: CampaignConfig, _space):
     return 2.0 - margins, margins, witness, 2.0, None
 
 
-def _run_zalcman1d(cfg: CampaignConfig, _space):
+def _run_zalcman1d(cfg: CampaignConfig, space):
     order = ZalcmanOrder(*cfg.order)
-    values = np.concatenate(
-        [zalcman_values(w, a, order) for _, w, a in sample_blocks(cfg.seed, cfg.samples)]
-    )
+    values = _walk(cfg, space, lambda idx: zalcman_values(*sample_batch(cfg.seed, idx), order))
 
     def witness(i):
         measure = sample_measure(cfg.seed, i).to_json()
@@ -232,43 +241,26 @@ def _stream(seed: int, indices: np.ndarray):
     return lambda rows, start, count: uniforms(seed, indices[rows], count, start)
 
 
-def _index_blocks(cfg: CampaignConfig, space: SpaceSpec):
-    """Sample indices 0..samples-1 in blocks of at most SAMPLE_BLOCK rows
-    (fewer in high dimension, see LIFTED_BLOCK_ENTRIES)."""
-    block = min(SAMPLE_BLOCK, max(1, LIFTED_BLOCK_ENTRIES // space.dim))
-    for first in range(0, cfg.samples, block):
-        yield np.arange(first, min(first + block, cfg.samples))
-
-
 def _lifted_rows(cfg: CampaignConfig, space: SpaceSpec, indices: np.ndarray):
-    """(weights, covectors, atom counts, points) of the given samples of
+    """(weights, covectors, points, atom counts) of the given samples of
     ball, domain and reduction: the map from the first ``spec_draws`` draws
     of each sample, the point from the draws after them."""
     draw = _stream(cfg.seed, indices)
     lams, covs, counts = spec_rows(space, draw, len(indices))
-    return lams, covs, counts, point_rows(space, draw, len(indices), spec_draws(space))
+    return lams, covs, point_rows(space, draw, len(indices), spec_draws(space)), counts
 
 
 def _lifted_sample(cfg: CampaignConfig, space: SpaceSpec, i: int):
     """(spec, z) of sample i of a several-variables campaign: its row of a
     batch of one."""
-    lams, covs, counts, z = _lifted_rows(cfg, space, np.array([i]))
+    lams, covs, z, counts = _lifted_rows(cfg, space, np.array([i]))
     return LiftedMapSpec.from_row(lams[0, : counts[0]], covs[0, : counts[0]]), z[0]
-
-
-def _lifted_blocks(cfg: CampaignConfig, space: SpaceSpec):
-    """(weights, covectors, points) of every block of samples."""
-    for indices in _index_blocks(cfg, space):
-        lams, covs, _, z = _lifted_rows(cfg, space, indices)
-        yield lams, covs, z
 
 
 def _run_lifted_bound(cfg: CampaignConfig, space: SpaceSpec):
     """|A2 A3 - A4| of sampled maps and points, for ball and domain alike:
     both normalizations reduce to the closed form of ``zalcman_rows``."""
-    values = np.concatenate(
-        [zalcman_rows(space, lams, covs, z)[1] for lams, covs, z in _lifted_blocks(cfg, space)]
-    )
+    values = _walk(cfg, space, lambda idx: zalcman_rows(space, *_lifted_rows(cfg, space, idx)[:3])[1])
 
     def witness(i):
         spec, z = _lifted_sample(cfg, space, i)
@@ -315,9 +307,7 @@ def _run_gradients(cfg: CampaignConfig, space: SpaceSpec):
     """Euler identity, scale/phase covariance, and the finite-difference
     cross-check of the gauge gradient, on sphere points well off E (the
     FD stencil needs quantitative smoothness, not just z not in E)."""
-    values = np.concatenate(
-        [_gradient_rows(cfg, space, indices)[1].max(axis=1) for indices in _index_blocks(cfg, space)]
-    )
+    values = _walk(cfg, space, lambda idx: _gradient_rows(cfg, space, idx)[1].max(axis=1))
 
     def witness(i):
         z, residuals = _gradient_sample(cfg, space, i)
@@ -329,12 +319,12 @@ def _run_gradients(cfg: CampaignConfig, space: SpaceSpec):
 def _run_reduction(cfg: CampaignConfig, space: SpaceSpec):
     """The scalar-reduction identities and the agreement of the closed form
     with its pairing route (``mappings.reduction_rows``)."""
-    values = np.concatenate(
-        [
-            np.maximum(red / REDUCTION_TOL, dual / DUAL_PATH_TOL)
-            for red, dual in (reduction_rows(space, *block) for block in _lifted_blocks(cfg, space))
-        ]
-    )
+
+    def rows(indices):
+        red, dual = reduction_rows(space, *_lifted_rows(cfg, space, indices)[:3])
+        return np.maximum(red / REDUCTION_TOL, dual / DUAL_PATH_TOL)
+
+    values = _walk(cfg, space, rows)
 
     def witness(i):
         spec, z = _lifted_sample(cfg, space, i)
@@ -424,8 +414,6 @@ def _validate(cfg: CampaignConfig) -> SpaceSpec | None:
         raise UsageError("samples must be >= 1")
     if not (math.isfinite(cfg.tolerance) and cfg.tolerance > 0):
         raise UsageError("tolerance must be finite and positive")
-    if cfg.format not in ("json", "csv"):
-        raise UsageError(f"unknown format {cfg.format!r}")
     if cfg.campaign in ("zalcman1d", "search"):
         try:
             ZalcmanOrder(*cfg.order)

@@ -41,7 +41,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
                      help="violation threshold on the reported margin")
     sub.add_argument("--out", default=None, metavar="PATH",
                      help="write the report here instead of stdout")
-    sub.add_argument("--format", choices=("json", "csv"), default=None,
+    sub.add_argument("--format", choices=("json", "csv"), default="json",
                      help="report format (default json)")
     sub.add_argument("--m", type=int, default=2, help="first coefficient index")
     sub.add_argument("--n", type=int, default=3, help="second coefficient index")
@@ -90,7 +90,7 @@ def _config_from(args: argparse.Namespace) -> CampaignConfig:
         "seed": _resolve_seed(args.seed),
         "order": (args.m, args.n),
     }
-    for name in ("samples", "dim", "norm", "tolerance", "out", "format"):
+    for name in ("samples", "dim", "norm", "tolerance"):
         value = getattr(args, name)
         if value is not None:
             kwargs[name] = value
@@ -104,7 +104,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = _config_from(args)
         report = run_campaign(cfg)
-        emit_report(report, cfg.format, cfg.out)
+        emit_report(report, args.format, args.out)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -30,10 +30,6 @@ MAX_ATOMS = 8
 
 WEIGHT_TOL = 1e-12
 
-# Rows per block when a run walks its samples, so that the batch
-# temporaries stay a few MB however many samples the run has.
-SAMPLE_BLOCK = 10_000
-
 # Uniforms drawn per sample: the atom count, MAX_ATOMS exponentials for the
 # weights, MAX_ATOMS angles.  Every sample makes all of them whatever its
 # atom count, so each draw index has one fixed role.
@@ -287,17 +283,6 @@ def atom_rows(u: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     weights = raw / raw.sum(axis=1, keepdims=True)
     angles = np.where(live, 2.0 * np.pi * u[:, MAX_ATOMS : 2 * MAX_ATOMS], 0.0)
     return weights, angles
-
-
-def sample_blocks(seed: int, count: int, block: int = SAMPLE_BLOCK):
-    """Samples 0..count-1 under ``seed`` as (first, weights, angles) blocks.
-
-    Each block is ``sample_batch`` of at most ``block`` consecutive indices
-    starting at ``first``; the rows do not depend on the block size.
-    """
-    for first in range(0, count, block):
-        weights, angles = sample_batch(seed, np.arange(first, min(first + block, count)))
-        yield first, weights, angles
 
 
 def sample_measure(seed: int, index: int = 0) -> HerglotzMeasure:

@@ -184,11 +184,11 @@ def _padded(spec) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _atom_arrays(spec) -> tuple[np.ndarray, np.ndarray]:
-    """Weights (atoms,) and covectors (atoms, dim) of the atoms of ``spec``,
-    without padding."""
-    atoms = _atoms_of(spec)
-    lams, covs = _padded(atoms)
-    return lams[0, : len(atoms)], covs[0, : len(atoms)]
+    """Weights (atoms,) and covectors (atoms, dim) of the atoms of ``spec``
+    of nonzero weight: the term of a weight-0 atom in h is 0, at its pole too."""
+    lams, covs = _padded(spec)
+    keep = lams[0] != 0.0
+    return lams[0, keep], covs[0, keep]
 
 
 def _moment_rows(lams: np.ndarray, covs: np.ndarray, z: np.ndarray, upto: int) -> np.ndarray:
@@ -292,9 +292,10 @@ def restrict_h(spec, z0, order: int = MAX_HOM_DEGREE) -> TruncatedSeries:
 
 def _transfer(lams: np.ndarray, x: np.ndarray, zeta):
     """h(zeta) = 1 + sum_k 2 lam_k x_k zeta / (1 - x_k zeta) for the atoms'
-    weights and values x_k = b_k(z0); elementwise when zeta is an array."""
-    acc = 1 + 0j
-    for lam, xk in zip(lams.tolist(), x.tolist()):
+    weights and values x_k = b_k(z0); elementwise when zeta is an array.  The
+    x_k stay numpy scalars, so a scalar zeta agrees with an array at a pole."""
+    acc = np.complex128(1)
+    for lam, xk in zip(lams.tolist(), x):
         y = xk * zeta
         acc += 2.0 * lam * y / (1.0 - y)
     return acc
@@ -304,7 +305,8 @@ def h_eval(spec, z0, zeta):
     """Exact rational value of the transfer function at zeta on the disk;
     elementwise when zeta is an array."""
     lams, covs = _atom_arrays(spec)
-    return _transfer(lams, pair(covs, np.asarray(z0, dtype=complex)), zeta)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return _transfer(lams, pair(covs, np.asarray(z0, dtype=complex)), zeta)
 
 
 @dataclass(frozen=True)
@@ -365,9 +367,9 @@ def pole_witness(space: SpaceSpec, spec) -> ScanWitness | None:
     """
     lams, covs = _atom_arrays(spec)
     norms = np.where(lams > 0.0, dual_norm(space, covs), 0.0)
-    k = int(np.argmax(norms))
-    if not norms[k] > 1.0 + DUAL_NORM_TOL:
+    if not np.max(norms, initial=0.0) > 1.0 + DUAL_NORM_TOL:
         return None
+    k = int(np.argmax(norms))
     z0 = norming_rows(space, covs[k][None])[0]
     x = pair(covs, z0)
     bz, others = complex(x[k]), np.arange(len(lams)) != k
@@ -414,13 +416,14 @@ def starlikeness_scan(
     zeta = (radii[:, None] * phases[None, :]).ravel()
     min_real = np.inf
     witness = None
-    for z0, xs in zip(directions, x):
-        h = _transfer(lams, xs, zeta)
-        min_real = np.minimum(min_real, h.real.min())
-        bad = np.flatnonzero(~(h.real > 0.0))
-        if witness is None and bad.size:
-            k = bad[0]
-            witness = ScanWitness(tuple(complex(c) for c in z0), complex(zeta[k]), complex(h[k]))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for z0, xs in zip(directions, x):
+            h = _transfer(lams, xs, zeta)
+            min_real = np.minimum(min_real, h.real.min())
+            bad = np.flatnonzero(~(h.real > 0.0))
+            if witness is None and bad.size:
+                k = bad[0]
+                witness = ScanWitness(tuple(complex(c) for c in z0), complex(zeta[k]), complex(h[k]))
     if witness is None:
         witness = pole_witness(space, spec)
         if witness is not None:

@@ -38,7 +38,7 @@ from zalcman import (
 )
 from zalcman import campaigns
 from zalcman.campaigns import space_of, subseed
-from zalcman.herglotz import batch_margins, sample_blocks
+from zalcman.herglotz import batch_margins, sample_batch
 from zalcman.mappings import reduction_rows
 from zalcman.starlike import zalcman_values
 
@@ -58,13 +58,16 @@ def report(num: int, ok: bool, detail: str) -> None:
 def corpus():
     """One pass over the shared measure corpus: margins and functionals."""
     start = time.perf_counter()
-    max_j = {(o.m, o.n): 0.0 for o in ORDERS}
-    min_margins = np.full(3, math.inf)
-    for _, weights, angles in sample_blocks(SEED, CORPUS_SIZE):
-        min_margins = np.minimum(min_margins, batch_margins(weights, angles).min(axis=0))
-        for o in ORDERS:
-            value = zalcman_values(weights, angles, o).max()
-            max_j[(o.m, o.n)] = float(np.maximum(max_j[(o.m, o.n)], value))
+
+    def margins_and_values(indices):
+        weights, angles = sample_batch(SEED, indices)
+        values = [zalcman_values(weights, angles, o) for o in ORDERS]
+        return np.column_stack([batch_margins(weights, angles), *values])
+
+    cfg = CampaignConfig("caratheodory", seed=SEED, samples=CORPUS_SIZE)
+    table = campaigns._walk(cfg, None, margins_and_values)
+    max_j = dict(zip([(o.m, o.n) for o in ORDERS], table[:, 3:].max(axis=0).tolist()))
+    min_margins = table[:, :3].min(axis=0)
     search = search_extremal(ZalcmanOrder(2, 3), budget=2000, seed=SEED)
     return {
         "max_j": max_j,
@@ -191,13 +194,13 @@ def _campaign_rows(cfg: CampaignConfig) -> np.ndarray:
     report: the campaign's own blocks through its own kernel."""
     space = space_of(cfg)
     if cfg.campaign == "gradients":
-        blocks = [campaigns._gradient_rows(cfg, space, idx)[1] for idx in campaigns._index_blocks(cfg, space)]
-    else:
-        blocks = [
-            np.stack([red / campaigns.REDUCTION_TOL, dual / campaigns.DUAL_PATH_TOL], axis=1)
-            for red, dual in (reduction_rows(space, *b) for b in campaigns._lifted_blocks(cfg, space))
-        ]
-    return np.concatenate(blocks)
+        return campaigns._walk(cfg, space, lambda idx: campaigns._gradient_rows(cfg, space, idx)[1])
+
+    def rows(idx):
+        red, dual = reduction_rows(space, *campaigns._lifted_rows(cfg, space, idx)[:3])
+        return np.stack([red / campaigns.REDUCTION_TOL, dual / campaigns.DUAL_PATH_TOL], axis=1)
+
+    return campaigns._walk(cfg, space, rows)
 
 
 def _identity_campaigns(campaign: str, families, samples: int):

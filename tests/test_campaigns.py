@@ -21,9 +21,8 @@ from zalcman import (
     zalcman_J,
 )
 from zalcman import campaigns, mappings
-from zalcman.campaigns import REPORT_VERSION, emit_report, space_of, subseed
+from zalcman.campaigns import REPORT_VERSION, SAMPLE_BLOCK, emit_report, space_of, subseed
 from zalcman.cli import build_parser, main
-from zalcman.herglotz import SAMPLE_BLOCK
 
 
 def small(campaign, **kw):
@@ -54,6 +53,8 @@ def test_campaigns_pass_cleanly(cfg):
     assert rep.max_value <= rep.bound + cfg.tolerance
     assert len(rep.values) == len(rep.margins) == rep.samples
     assert not (rep.values.flags.writeable or rep.margins.flags.writeable)
+    if cfg.campaign != "sharpness":  # its margins are normalized defects
+        assert rep.margins.tolist() == (rep.bound - rep.values).tolist()
 
 
 def test_sample_count_contract():
@@ -91,7 +92,6 @@ def test_subseeds_are_stable_and_distinct():
         CampaignConfig("ball", norm="lp:abc"),
         CampaignConfig("ball", norm="lp:1"),
         CampaignConfig("search", budget=-2),
-        CampaignConfig("zalcman1d", format="xml"),
         CampaignConfig("zalcman1d", tolerance=math.nan),
         CampaignConfig("zalcman1d", tolerance=math.inf),
         CampaignConfig("zalcman1d", tolerance=-math.inf),

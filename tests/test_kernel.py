@@ -18,15 +18,13 @@ from zalcman import (
     run_campaign,
     zalcman_J,
 )
-from zalcman.campaigns import violation_rows
+from zalcman.campaigns import SAMPLE_BLOCK, _walk, violation_rows
 from zalcman.herglotz import (
     MAX_ATOMS,
-    SAMPLE_BLOCK,
     batch_margins,
     batch_moments,
     modulus,
     sample_batch,
-    sample_blocks,
 )
 from zalcman.series import DEFAULT_ORDER
 from zalcman.starlike import MAX_COEFF_ORDER, batch_coeffs, batch_zalcman, zalcman_values
@@ -63,11 +61,16 @@ def test_caratheodory_witnesses_replay_exactly():
 
 
 def test_blocks_concatenate_to_one_batch():
-    blocks = list(sample_blocks(12, 45, block=7))
-    assert [first for first, _, _ in blocks] == list(range(0, 45, 7))
-    weights, angles = sample_batch(12, np.arange(45))
-    assert np.array_equal(np.concatenate([w for _, w, _ in blocks]), weights)
-    assert np.array_equal(np.concatenate([a for _, _, a in blocks]), angles)
+    samples = SAMPLE_BLOCK + 5
+    sizes = []
+
+    def rows(indices):
+        sizes.append(len(indices))
+        return np.concatenate(sample_batch(12, indices), axis=1)
+
+    walked = _walk(CampaignConfig("caratheodory", seed=12, samples=samples), None, rows)
+    assert sizes == [SAMPLE_BLOCK, 5]
+    assert np.array_equal(walked, np.concatenate(sample_batch(12, np.arange(samples)), axis=1))
 
 
 def test_witnesses_past_the_first_block_carry_their_own_index():

@@ -11,7 +11,7 @@ import pytest
 
 from zalcman import CampaignConfig, LiftedMapSpec, rho, run_campaign, zalcman_nd
 from zalcman import campaigns, mappings
-from zalcman.campaigns import space_of
+from zalcman.campaigns import SAMPLE_BLOCK, space_of
 from zalcman.geometry import (
     dual_norm,
     exceptional_distance,
@@ -23,7 +23,7 @@ from zalcman.geometry import (
     support_rows,
     wirtinger_fd_gradient,
 )
-from zalcman.herglotz import SAMPLE_BLOCK, batch_moments, phase_table, sample_batch, uniforms
+from zalcman.herglotz import batch_moments, phase_table, sample_batch, uniforms
 from zalcman.mappings import (
     SPEC_ATOMS,
     closed_form_values,
@@ -59,7 +59,7 @@ def reduction_value(red, dual):
 def test_lifted_rows_equal_their_batch_of_one_replay(norm, dim):
     cfg = config("ball", norm, dim)
     space = space_of(cfg)
-    lams, covs, counts, z = campaigns._lifted_rows(cfg, space, np.arange(ROWS))
+    lams, covs, z, counts = campaigns._lifted_rows(cfg, space, np.arange(ROWS))
     gauges, gaps = rho(space, z), exceptional_distance(space, z)
     support = support_rows(space, z, gauges)
     f = hom_rows(lams, covs, z, 3)
@@ -111,7 +111,7 @@ def test_gradient_rows_equal_their_batch_of_one_replay(norm, dim):
 def test_sampled_maps_and_points_keep_their_contracts():
     cfg = config("ball", "l1", 3, samples=2000)
     space = space_of(cfg)
-    lams, covs, counts, z = campaigns._lifted_rows(cfg, space, np.arange(cfg.samples))
+    lams, covs, z, counts = campaigns._lifted_rows(cfg, space, np.arange(cfg.samples))
     assert set(counts.tolist()) == set(range(1, SPEC_ATOMS + 1))
     live = np.arange(SPEC_ATOMS) < counts[:, None]
     assert (lams[live] > 0).all() and (lams[~live] == 0).all() and (covs[~live] == 0).all()
@@ -186,7 +186,7 @@ def test_witnesses_past_the_first_block_carry_their_own_index(monkeypatch):
         if campaign == "gradients":
             z, _ = campaigns._gradient_rows(cfg, space, np.arange(30))
         else:
-            lams, covs, counts, z = campaigns._lifted_rows(cfg, space, np.arange(30))
+            lams, covs, z, counts = campaigns._lifted_rows(cfg, space, np.arange(30))
         for w in rep.violations:
             i = w["index"]
             assert w["z"] == [[c.real, c.imag] for c in z[i].tolist()]
@@ -238,13 +238,25 @@ def test_homogeneous_parts_are_evaluated_once_per_reduction_row(monkeypatch):
     assert calls == [(40, 4)]
 
 
+def walked_blocks(cfg):
+    """The index blocks ``_walk`` hands to its row function for ``cfg``."""
+    blocks = []
+
+    def rows(indices):
+        blocks.append(indices)
+        return indices
+
+    campaigns._walk(cfg, space_of(cfg), rows)
+    return blocks
+
+
 def test_blocks_never_exceed_the_sample_count_or_sample_block():
     for samples, dim in ((7, 3), (SAMPLE_BLOCK + 5, 2)):
-        cfg = config("ball", "l2", dim, samples=samples)
-        sizes = [len(idx) for idx in campaigns._index_blocks(cfg, space_of(cfg))]
+        blocks = walked_blocks(config("ball", "l2", dim, samples=samples))
+        sizes = [len(idx) for idx in blocks]
         assert sum(sizes) == samples and max(sizes) <= min(samples, SAMPLE_BLOCK)
-    cfg = config("ball", "l2", 100, samples=3000)
-    sizes = [len(idx) for idx in campaigns._index_blocks(cfg, space_of(cfg))]
+        assert np.array_equal(np.concatenate(blocks), np.arange(samples))
+    sizes = [len(idx) for idx in walked_blocks(config("ball", "l2", 100, samples=3000))]
     assert max(sizes) * 100 <= campaigns.LIFTED_BLOCK_ENTRIES
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from zalcman import (
     sup_space,
     zalcman_nd,
 )
+from zalcman import mappings
 from zalcman.campaigns import _lifted_sample, space_of
 from zalcman.geometry import (
     ExceptionalPoint,
@@ -329,9 +331,11 @@ def test_scan_matches_a_pointwise_walk(valid):
 
 
 def test_scan_of_the_trivial_spec_is_flat():
-    rep = starlikeness_scan(E2, single_atom((0.0, 0.0)))
-    assert rep.min_real == 1.0
-    assert rep.passed
+    # Raw atoms all of weight 0 make f(z) = z as well.
+    for spec in (single_atom((0.0, 0.0)), [(0.0, (5.0, 0.0))]):
+        rep = starlikeness_scan(E2, spec)
+        assert rep.min_real == 1.0
+        assert rep.passed
 
 
 def test_grid_spec_validation():
@@ -461,6 +465,39 @@ def test_pole_witness_of_a_light_atom(lam):
     assert h_eval(spec, list(w.direction), w.zeta) == w.h_value
     if lam >= 1e-15:
         assert w.h_value.real <= 0.0 and rep.witness == w and rep.min_real == w.h_value.real
+
+
+POLE_ATOMS = ((0.5, (0.5, 0.0)), (0.5, (0.0, 1.5)))
+
+
+def test_scalar_and_array_h_agree_at_a_pole():
+    # 1.5 * (1/1.5) rounds to 1, so zeta is on the pole of the second atom.
+    spec = LiftedMapSpec(POLE_ATOMS)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scalar = h_eval(spec, [0, 1], 1 / 1.5)
+        array = h_eval(spec, [0, 1], np.array([1 / 1.5]))
+    np.testing.assert_array_equal(array, [scalar])
+    assert not np.isfinite(scalar)
+
+
+@pytest.mark.parametrize(
+    "atoms, passed, min_real",
+    [(((1.0, (0.5, 0.0)), (0.0, (0.0, 1.5))), True, 1.0), (POLE_ATOMS, False, -4.0)],
+    ids=["zero-weight", "half-weight"],
+)
+def test_a_grid_point_on_a_pole(atoms, passed, min_real, monkeypatch):
+    # With the scan's direction pinned to e_2, the grid's last radius is the
+    # pole of the second atom.  Its term is identically 0 at weight 0; at
+    # weight 1/2 the grid reads Re h = inf there and the pole witness fails
+    # the map at h = -4.
+    monkeypatch.setattr(mappings, "sphere_rows", lambda *args: np.array([[0.0, 1.0]], dtype=complex))
+    grid = GridSpec(directions=1, radii=3, angles=4, rmin=0.1, rmax=1 / 1.5)
+    rep = starlikeness_scan(E2, atoms, grid)
+    assert rep.passed == passed and rep.min_real == min_real
+    if not passed:
+        assert rep.witness.h_value == -4.0
+        json.dumps(rep.witness.to_json(), allow_nan=False)
 
 
 def per_direction_scan(space, spec, grid, seed):

@@ -98,10 +98,6 @@ SAMPLE_BLOCK = 10_000
 # atom arrays stay a few MB whatever the dimension.
 LIFTED_BLOCK_ENTRIES = 50_000
 
-BOUND_CAMPAIGNS = ("caratheodory", "zalcman1d", "ball", "domain")
-IDENTITY_CAMPAIGNS = ("gradients", "reduction", "sharpness")
-CAMPAIGNS = BOUND_CAMPAIGNS + IDENTITY_CAMPAIGNS + ("search",)
-
 _ND_CAMPAIGNS = frozenset(("ball", "domain", "gradients", "reduction", "sharpness"))
 
 
@@ -242,25 +238,25 @@ def _stream(seed: int, indices: np.ndarray):
 
 
 def _lifted_rows(cfg: CampaignConfig, space: SpaceSpec, indices: np.ndarray):
-    """(weights, covectors, points, atom counts) of the given samples of
-    ball, domain and reduction: the map from the first ``spec_draws`` draws
-    of each sample, the point from the draws after them."""
+    """(weights, covectors, points) of the given samples of ball, domain and
+    reduction: the map from the first ``spec_draws`` draws of each sample,
+    the point from the draws after them."""
     draw = _stream(cfg.seed, indices)
-    lams, covs, counts = spec_rows(space, draw, len(indices))
-    return lams, covs, point_rows(space, draw, len(indices), spec_draws(space)), counts
+    lams, covs = spec_rows(space, draw, len(indices))
+    return lams, covs, point_rows(space, draw, len(indices), spec_draws(space))
 
 
 def _lifted_sample(cfg: CampaignConfig, space: SpaceSpec, i: int):
     """(spec, z) of sample i of a several-variables campaign: its row of a
     batch of one."""
-    lams, covs, z, counts = _lifted_rows(cfg, space, np.array([i]))
-    return LiftedMapSpec.from_row(lams[0, : counts[0]], covs[0, : counts[0]]), z[0]
+    lams, covs, z = _lifted_rows(cfg, space, np.array([i]))
+    return LiftedMapSpec.from_row(lams[0], covs[0]), z[0]
 
 
 def _run_lifted_bound(cfg: CampaignConfig, space: SpaceSpec):
     """|A2 A3 - A4| of sampled maps and points, for ball and domain alike:
     both normalizations reduce to the closed form of ``zalcman_rows``."""
-    values = _walk(cfg, space, lambda idx: zalcman_rows(space, *_lifted_rows(cfg, space, idx)[:3])[1])
+    values = _walk(cfg, space, lambda idx: zalcman_rows(space, *_lifted_rows(cfg, space, idx))[1])
 
     def witness(i):
         spec, z = _lifted_sample(cfg, space, i)
@@ -321,7 +317,7 @@ def _run_reduction(cfg: CampaignConfig, space: SpaceSpec):
     with its pairing route (``mappings.reduction_rows``)."""
 
     def rows(indices):
-        red, dual = reduction_rows(space, *_lifted_rows(cfg, space, indices)[:3])
+        red, dual = reduction_rows(space, *_lifted_rows(cfg, space, indices))
         return np.maximum(red / REDUCTION_TOL, dual / DUAL_PATH_TOL)
 
     values = _walk(cfg, space, rows)
@@ -357,7 +353,7 @@ def _run_sharpness(cfg: CampaignConfig, space: SpaceSpec):
     f_{k-1}(z/rho) does not involve the gradient at all.
     """
     u = _dyadic_direction(space)
-    fv = zalcman_nd(space, make_extremal_ball(space, u), 0.75 * u, mode="ball")
+    fv = zalcman_nd(space, make_extremal_ball(space, u), 0.75 * u)
     zd = 0.75 * (u if space.kind == "sup" else np.eye(space.dim, dtype=complex)[0])
     checks = [
         ("ball", fv.values, fv.zalcman),
@@ -403,6 +399,8 @@ _RUNNERS = {
     "sharpness": _run_sharpness,
     "search": _run_search,
 }
+
+CAMPAIGNS = tuple(_RUNNERS)
 
 
 def _validate(cfg: CampaignConfig) -> SpaceSpec | None:

@@ -14,7 +14,9 @@ Batches of measures are (rows, MAX_ATOMS) arrays of weights and angles,
 padded with weight-0, angle-0 atoms.  The sampler, the moments and the
 margins work on whole batches; ``HerglotzMeasure.coefficient``,
 ``HerglotzMeasure.margins`` and ``sample_measure`` are batch-of-one calls
-into the same functions.
+into the same functions.  The rules of a sampled atom row, which the
+lifted maps of ``mappings`` share, live here: ``atom_counts``,
+``simplex_rows``, ``check_weights``, and weight 0 as padding.
 """
 
 from __future__ import annotations
@@ -24,9 +26,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .series import DEFAULT_ORDER
-
 MAX_ATOMS = 8
+
+DEFAULT_ORDER = 7
 
 WEIGHT_TOL = 1e-12
 
@@ -66,14 +68,13 @@ def modulus(z: np.ndarray) -> np.ndarray:
     return np.hypot(z.real, z.imag)
 
 
-def check_atoms(weights: np.ndarray, angles: np.ndarray) -> None:
-    """The validity checks of a measure, for every row of padded atom arrays.
-
-    Weights must be finite and nonnegative and sum to 1 within WEIGHT_TOL
-    in each row; angles must be finite.  Raises ValueError otherwise.
+def check_weights(weights: np.ndarray) -> None:
+    """The weight checks of a measure or a map, for every row of padded atom
+    arrays: weights finite and nonnegative, each row summing to 1 within
+    WEIGHT_TOL.  Raises ValueError otherwise.
     """
-    if not (np.isfinite(weights).all() and np.isfinite(angles).all()):
-        raise ValueError("atom weights and angles must be finite")
+    if not np.isfinite(weights).all():
+        raise ValueError("atom weights must be finite")
     if (weights < 0).any():
         raise ValueError("atom weights must be nonnegative")
     total = weights.sum(axis=1)
@@ -187,7 +188,10 @@ class HerglotzMeasure:
         )
         if not 1 <= len(self.atoms) <= MAX_ATOMS:
             raise ValueError(f"need between 1 and {MAX_ATOMS} atoms, got {len(self.atoms)}")
-        check_atoms(*self.padded())
+        weights, angles = self.padded()
+        if not np.isfinite(angles).all():
+            raise ValueError("atom angles must be finite")
+        check_weights(weights)
 
     @classmethod
     def from_row(cls, weights: np.ndarray, angles: np.ndarray) -> "HerglotzMeasure":
@@ -257,30 +261,37 @@ def uniforms(seed: int, indices, draws: int, start: int = 0) -> np.ndarray:
 def sample_batch(seed: int, indices) -> tuple[np.ndarray, np.ndarray]:
     """Measures of the given sample indices as zero-padded atom arrays.
 
-    Returns (weights, angles), each (len(indices), MAX_ATOMS).  Row r has an
-    atom count uniform in [1, MAX_ATOMS] in its leading columns: weights
-    flat on the simplex (normalized iid exponentials), so all of them are
-    positive, and angles uniform in [0, 2 pi).  The remaining columns are
+    Returns (weights, angles), each (len(indices), MAX_ATOMS).  Row r has
+    ``atom_counts`` leading atoms, with ``simplex_rows`` weights (all
+    positive) and angles uniform in [0, 2 pi); the remaining columns are
     padding atoms with weight 0 and angle 0.
     """
     u = uniforms(seed, indices, SAMPLE_DRAWS)
-    # u < 1, but u * MAX_ATOMS can still round up to MAX_ATOMS.
-    count = np.minimum((u[:, 0] * MAX_ATOMS).astype(np.int64), MAX_ATOMS - 1) + 1
-    weights, angles = atom_rows(u[:, 1:], count)
-    check_atoms(weights, angles)
+    weights, angles = atom_rows(u[:, 1:], atom_counts(u[:, 0], MAX_ATOMS))
+    check_weights(weights)
     return weights, angles
 
 
-def atom_rows(u: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Padded (weights, angles) of the measures given by rows of uniforms.
+def atom_counts(u: np.ndarray, width: int) -> np.ndarray:
+    """Atom counts uniform in [1, width], one per uniform of ``u``."""
+    # u < 1, but u * width can still round up to width.
+    return np.minimum((u * width).astype(np.int64), width - 1) + 1
 
-    Row r has ``count[r]`` atoms: weights the normalized exponentials -log u
-    of columns 0..MAX_ATOMS-1, angles 2 pi u of the next MAX_ATOMS columns;
-    the remaining atoms are padding with weight 0 and angle 0.
-    """
-    live = np.arange(MAX_ATOMS) < count[:, None]
-    raw = np.where(live, -np.log(u[:, :MAX_ATOMS]), 0.0)
-    weights = raw / raw.sum(axis=1, keepdims=True)
+
+def simplex_rows(u: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(weights, live mask) of rows of uniforms ``u``: row r weighs its first
+    ``count[r]`` atoms by the normalized exponentials -log u, all positive
+    since u < 1 (flat on the simplex), and the rest by 0."""
+    live = np.arange(u.shape[1]) < count[:, None]
+    raw = np.where(live, -np.log(u), 0.0)
+    return raw / raw.sum(axis=1, keepdims=True), live
+
+
+def atom_rows(u: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Padded (weights, angles) of rows of uniforms: the ``simplex_rows`` of
+    columns 0..MAX_ATOMS-1 over ``count`` atoms, at angles 2 pi u of the next
+    MAX_ATOMS columns; the padding atoms have weight 0 and angle 0."""
+    weights, live = simplex_rows(u[:, :MAX_ATOMS], count)
     angles = np.where(live, 2.0 * np.pi * u[:, MAX_ATOMS : 2 * MAX_ATOMS], 0.0)
     return weights, angles
 

@@ -23,16 +23,18 @@ Koebe-type maps built by ``make_extremal_ball`` and ``make_extremal_domain``.
 
 Batches of maps are padded arrays: weights (rows, atoms) and covectors
 (rows, atoms, dim), a power of two of atoms, whose padding atoms have
-weight 0 and covector 0.  The sampler, the homogeneous parts, the
-functionals and the reduction check work on whole batches; ``hom_parts``,
-``closed_form_values``, ``zalcman_nd``, ``functional_A``, ``functional_B``,
-``restrict_h``, ``reduction_crosscheck`` and ``sample_lifted_spec`` are
-batch-of-one calls into the same functions.
+weight 0 and covector 0; the atom rows follow the rules of ``herglotz``.
+The sampler, the homogeneous parts, the functionals and the reduction check
+work on whole batches; ``hom_parts``, ``closed_form_values``,
+``zalcman_nd`` (one ``FunctionalValues`` for both normalizations),
+``functional_A``, ``functional_B``, ``restrict_h``, ``reduction_crosscheck``
+and ``sample_lifted_spec`` are batch-of-one calls into the same functions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,7 +55,7 @@ from .geometry import (
     support_covector,
     support_rows,
 )
-from .herglotz import WEIGHT_TOL, modulus, node_table, table_moments
+from .herglotz import atom_counts, check_weights, modulus, node_table, simplex_rows, table_moments
 from .series import TruncatedSeries
 from .starlike import ZalcmanOrder, batch_coeffs, batch_zalcman
 
@@ -76,19 +78,11 @@ Atom = tuple[float, Covector]
 
 
 def check_spec_rows(lams: np.ndarray, covs: np.ndarray) -> None:
-    """The validity checks of a map, for every row of padded atom arrays.
-
-    Weights must be finite and nonnegative and sum to 1 within WEIGHT_TOL
-    in each row; covector entries must be finite.  Raises ValueError.
-    """
-    if not (np.isfinite(lams).all() and (lams >= 0).all()):
-        raise ValueError("atom weights must be finite and nonnegative")
+    """``herglotz.check_weights`` and finite covector entries, for every row
+    of padded atom arrays.  Raises ValueError."""
+    check_weights(lams)
     if not np.isfinite(covs).all():
         raise ValueError("covector entries must be finite")
-    total = lams.sum(axis=1)
-    off = np.abs(total - 1.0) > WEIGHT_TOL
-    if off.any():
-        raise ValueError(f"atom weights sum to {total[off][0]}, expected 1")
 
 
 @dataclass(frozen=True)
@@ -116,8 +110,9 @@ class LiftedMapSpec:
 
     @classmethod
     def from_row(cls, lams: np.ndarray, covs: np.ndarray) -> "LiftedMapSpec":
-        """The map of the atoms (lams[k], covs[k]) of one batch row."""
-        return cls(tuple(zip(lams.tolist(), map(Covector, covs.tolist()))))
+        """The map of one row of padded atom arrays: its nonzero-weight atoms."""
+        live = lams != 0.0
+        return cls(tuple(zip(lams[live].tolist(), map(Covector, covs[live].tolist()))))
 
     def padded(self) -> tuple[np.ndarray, np.ndarray]:
         """Weights (1, W) and covectors (1, W, dim) padded with zero atoms to
@@ -139,29 +134,12 @@ class LiftedMapSpec:
         )
 
 
-@dataclass(frozen=True)
-class FunctionalValues:
-    """Order-2..4 coefficient functionals at a point, and their combination.
+class FunctionalValues(NamedTuple):
+    """Order-2..4 coefficient functionals at a point and |A2 A3 - A4|: the
+    same numbers under the ball and the domain normalization."""
 
-    ``mode`` records the normalization route: "ball" pairs with the support
-    functional l_z, "domain" with twice the gauge gradient.  Both collapse
-    to the same numbers, so ``values`` is mode-agnostic.
-    """
-
-    mode: str
     values: tuple[complex, complex, complex]
     zalcman: float
-    space: SpaceSpec
-    z: tuple[complex, ...]
-
-    def to_json(self) -> dict:
-        return {
-            "mode": self.mode,
-            "values": [[v.real, v.imag] for v in self.values],
-            "zalcman": self.zalcman,
-            "space": self.space.to_json(),
-            "z": [[c.real, c.imag] for c in self.z],
-        }
 
 
 def _atoms_of(spec) -> tuple[Atom, ...]:
@@ -269,14 +247,11 @@ def functional_B(space: SpaceSpec, spec, z, k: int) -> complex:
     return _paired(space, spec, z, k)
 
 
-def zalcman_nd(space: SpaceSpec, spec, z, mode: str = "ball") -> FunctionalValues:
+def zalcman_nd(space: SpaceSpec, spec, z) -> FunctionalValues:
     """Assemble the order-2..4 functionals and |A2 A3 - A4| at z by the
-    closed form; ``mode`` ("ball" or "domain") labels the normalization."""
-    if mode not in ("ball", "domain"):
-        raise ValueError(f"unknown mode {mode!r}")
-    v = np.asarray(z, dtype=complex)
-    vals, value = zalcman_rows(space, *_padded(spec), v[None])
-    return FunctionalValues(mode, tuple(vals[0].tolist()), float(value[0]), space, tuple(v.tolist()))
+    closed form."""
+    vals, value = zalcman_rows(space, *_padded(spec), np.asarray(z, dtype=complex)[None])
+    return FunctionalValues(tuple(vals[0].tolist()), float(value[0]))
 
 
 def restrict_h(spec, z0, order: int = MAX_HOM_DEGREE) -> TruncatedSeries:
@@ -495,36 +470,31 @@ def spec_draws(space: SpaceSpec) -> int:
     return 1 + SPEC_ATOMS * (2 + 2 * space.dim)
 
 
-def spec_rows(
-    space: SpaceSpec, draw, rows: int, start: int = 0
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def spec_rows(space: SpaceSpec, draw, rows: int, start: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Random certified-starlike product maps on the given gauge, one per row.
 
-    Returns weights (rows, SPEC_ATOMS), covectors (rows, SPEC_ATOMS, dim) and
-    atom counts (rows,), from the ``spec_draws`` uniforms of each row from
-    draw ``start`` on (``draw`` as in ``geometry.sphere_rows``).  The count
-    is uniform in [1, SPEC_ATOMS]; weights are flat on the simplex
-    (normalized exponentials, -log u); each functional is a complex Gaussian
-    covector (Box-Muller) rescaled to a dual norm drawn from [0.25, 1],
-    keeping the map holomorphic on the open unit ball of the gauge.  Atoms
-    past the count are padding.
+    Returns weights (rows, SPEC_ATOMS) and covectors (rows, SPEC_ATOMS, dim)
+    from the ``spec_draws`` uniforms of each row from draw ``start`` on
+    (``draw`` as in ``geometry.sphere_rows``): the ``herglotz.atom_counts``
+    and ``simplex_rows`` of a measure, with each functional a complex
+    Gaussian covector (Box-Muller) rescaled to a dual norm drawn from
+    [0.25, 1], keeping the map holomorphic on the open unit ball of the
+    gauge.  Atoms past the count are padding of weight 0 and covector 0, so
+    a row's map is its atoms of positive weight: there are no counts.
     """
     u = draw(np.arange(rows), start, spec_draws(space))
-    counts = np.minimum((u[:, 0] * SPEC_ATOMS).astype(np.int64), SPEC_ATOMS - 1) + 1
-    live = np.arange(SPEC_ATOMS) < counts[:, None]
-    raw = np.where(live, -np.log(u[:, 1 : 1 + SPEC_ATOMS]), 0.0)
-    lams = raw / raw.sum(axis=1, keepdims=True)
+    lams, live = simplex_rows(u[:, 1 : 1 + SPEC_ATOMS], atom_counts(u[:, 0], SPEC_ATOMS))
     scales = 0.25 + 0.75 * u[:, 1 + SPEC_ATOMS : 1 + 2 * SPEC_ATOMS]
     g = gaussians(u[:, 1 + 2 * SPEC_ATOMS :].reshape(rows, SPEC_ATOMS, 2 * space.dim))
     with np.errstate(divide="ignore", invalid="ignore"):
         covs = g * (scales / dual_norm(space, g))[:, :, None]
     covs = np.where(live[:, :, None], covs, 0.0)
     check_spec_rows(lams, covs)
-    return lams, covs, counts
+    return lams, covs
 
 
 def sample_lifted_spec(space: SpaceSpec, rng: np.random.Generator) -> LiftedMapSpec:
     """Random certified-starlike product map on the given gauge: one row of
     ``spec_rows`` with uniforms read from ``rng``."""
-    lams, covs, counts = spec_rows(space, rng_draws(rng), 1)
-    return LiftedMapSpec.from_row(lams[0, : counts[0]], covs[0, : counts[0]])
+    lams, covs = spec_rows(space, rng_draws(rng), 1)
+    return LiftedMapSpec.from_row(lams[0], covs[0])

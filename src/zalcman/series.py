@@ -17,8 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-DEFAULT_ORDER = 7
-
 # Division rejects constant terms at or below this magnitude.  Legitimate
 # denominators in this package always have constant term 1.
 DIV_EPS = 1e-12

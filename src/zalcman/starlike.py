@@ -20,6 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .herglotz import (
+    DEFAULT_ORDER,
     MAX_ATOMS,
     SAMPLE_DRAWS,
     HerglotzMeasure,
@@ -30,7 +31,7 @@ from .herglotz import (
     table_moments,
     uniforms,
 )
-from .series import DEFAULT_ORDER, TruncatedSeries
+from .series import TruncatedSeries
 
 MAX_COEFF_ORDER = DEFAULT_ORDER
 

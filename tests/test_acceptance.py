@@ -143,7 +143,7 @@ def test_criterion_4_ball_bound_and_extremal_values():
         space = euclidean(dim)
         raw = np.array([2.0 ** -k for k in range(dim)], dtype=complex)
         u = raw / rho(space, raw)
-        fv = zalcman_nd(space, make_extremal_ball(space, u), 0.75 * u, mode="ball")
+        fv = zalcman_nd(space, make_extremal_ball(space, u), 0.75 * u)
         defect = max(
             defect,
             abs(fv.zalcman - 2.0),
@@ -165,7 +165,7 @@ def test_criterion_5_domain_bound_and_extremal_values():
         sup = sup_space(dim)
         raw = np.array([2.0 ** -k for k in range(dim)], dtype=complex)
         u = raw / rho(sup, raw)
-        fv = zalcman_nd(sup, make_extremal_domain(sup), 0.75 * u, mode="domain")
+        fv = zalcman_nd(sup, make_extremal_domain(sup), 0.75 * u)
         defect = max(
             defect,
             abs(fv.zalcman - 2.0),
@@ -174,7 +174,7 @@ def test_criterion_5_domain_bound_and_extremal_values():
         cube = lp_space(dim, 3.0)
         e1 = np.zeros(dim, dtype=complex)
         e1[0] = 1.0
-        fv = zalcman_nd(cube, make_extremal_domain(cube), 0.75 * e1, mode="domain")
+        fv = zalcman_nd(cube, make_extremal_domain(cube), 0.75 * e1)
         defect = max(
             defect,
             abs(fv.zalcman - 2.0),
@@ -197,7 +197,7 @@ def _campaign_rows(cfg: CampaignConfig) -> np.ndarray:
         return campaigns._walk(cfg, space, lambda idx: campaigns._gradient_rows(cfg, space, idx)[1])
 
     def rows(idx):
-        red, dual = reduction_rows(space, *campaigns._lifted_rows(cfg, space, idx)[:3])
+        red, dual = reduction_rows(space, *campaigns._lifted_rows(cfg, space, idx))
         return np.stack([red / campaigns.REDUCTION_TOL, dual / campaigns.DUAL_PATH_TOL], axis=1)
 
     return campaigns._walk(cfg, space, rows)

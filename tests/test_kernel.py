@@ -20,13 +20,13 @@ from zalcman import (
 )
 from zalcman.campaigns import SAMPLE_BLOCK, _walk, violation_rows
 from zalcman.herglotz import (
+    DEFAULT_ORDER,
     MAX_ATOMS,
     batch_margins,
     batch_moments,
     modulus,
     sample_batch,
 )
-from zalcman.series import DEFAULT_ORDER
 from zalcman.starlike import MAX_COEFF_ORDER, batch_coeffs, batch_zalcman, zalcman_values
 
 ROWS = 10_000

@@ -9,7 +9,7 @@ checks use ==, never isclose.
 import numpy as np
 import pytest
 
-from zalcman import CampaignConfig, LiftedMapSpec, rho, run_campaign, zalcman_nd
+from zalcman import CampaignConfig, HerglotzMeasure, LiftedMapSpec, rho, run_campaign, zalcman_nd
 from zalcman import campaigns, mappings
 from zalcman.campaigns import SAMPLE_BLOCK, space_of
 from zalcman.geometry import (
@@ -23,7 +23,7 @@ from zalcman.geometry import (
     support_rows,
     wirtinger_fd_gradient,
 )
-from zalcman.herglotz import batch_moments, phase_table, sample_batch, uniforms
+from zalcman.herglotz import MAX_ATOMS, batch_moments, phase_table, sample_batch, uniforms
 from zalcman.mappings import (
     SPEC_ATOMS,
     closed_form_values,
@@ -35,6 +35,7 @@ from zalcman.mappings import (
     reduction_crosscheck,
     reduction_rows,
     restrict_h,
+    spec_rows,
     zalcman_rows,
 )
 from zalcman.series import TruncatedSeries
@@ -59,7 +60,7 @@ def reduction_value(red, dual):
 def test_lifted_rows_equal_their_batch_of_one_replay(norm, dim):
     cfg = config("ball", norm, dim)
     space = space_of(cfg)
-    lams, covs, z, counts = campaigns._lifted_rows(cfg, space, np.arange(ROWS))
+    lams, covs, z = campaigns._lifted_rows(cfg, space, np.arange(ROWS))
     gauges, gaps = rho(space, z), exceptional_distance(space, z)
     support = support_rows(space, z, gauges)
     f = hom_rows(lams, covs, z, 3)
@@ -70,16 +71,15 @@ def test_lifted_rows_equal_their_batch_of_one_replay(norm, dim):
     reports = {c: run_campaign(config(c, norm, dim)) for c in ("ball", "domain", "reduction")}
     for i in range(ROWS):
         spec, zi = campaigns._lifted_sample(cfg, space, i)
-        assert spec == LiftedMapSpec.from_row(lams[i, : counts[i]], covs[i, : counts[i]])
+        assert spec == LiftedMapSpec.from_row(lams[i], covs[i])
         assert zi.tolist() == z[i].tolist()
         assert (rho(space, zi), exceptional_distance(space, zi)) == (gauges[i], gaps[i])
         assert support_covector(space, zi).entries == tuple(support[i].tolist())
-        assert [dual_norm(space, b) for _, b in spec.atoms] == norms[i, : counts[i]].tolist()
+        assert [dual_norm(space, b) for _, b in spec.atoms] == norms[i, lams[i] > 0].tolist()
         assert hom_parts(spec, zi, 3) == f[i].tolist()
-        for mode in ("ball", "domain"):
-            fv = zalcman_nd(space, spec, zi, mode)
-            assert fv.values == tuple(vals[i].tolist())
-            assert fv.zalcman == value[i]
+        fv = zalcman_nd(space, spec, zi)
+        assert fv.values == tuple(vals[i].tolist())
+        assert fv.zalcman == value[i]
         for k in (2, 3, 4):
             assert functional_A(space, spec, zi, k) == paired[i, k - 2]
             assert functional_B(space, spec, zi, k) == paired[i, k - 2]
@@ -108,10 +108,29 @@ def test_gradient_rows_equal_their_batch_of_one_replay(norm, dim):
         assert values[i] == max(replay.values())
 
 
+def test_sampled_rows_lead_with_their_atoms_and_pad_with_weight_zero():
+    # A row's atoms are its positive weights; from_row drops the rest.
+    indices = np.arange(10_000)
+    space = space_of(config("ball", "l1", 3))
+    weights, angles = sample_batch(7, indices)
+    lams, covs = spec_rows(space, campaigns._stream(7, indices), len(indices))
+    for w, width in ((weights, MAX_ATOMS), (lams, SPEC_ATOMS)):
+        live = w > 0
+        counts = live.sum(axis=1)
+        assert (live == (np.arange(width) < counts[:, None])).all()
+        assert set(counts.tolist()) == set(range(1, width + 1))
+        assert (w[~live] == 0.0).all()
+    assert (angles[weights == 0] == 0.0).all() and (covs[lams == 0] == 0.0).all()
+    for i in range(200):
+        assert len(HerglotzMeasure.from_row(weights[i], angles[i]).atoms) == (weights[i] > 0).sum()
+        assert len(LiftedMapSpec.from_row(lams[i], covs[i]).atoms) == (lams[i] > 0).sum()
+
+
 def test_sampled_maps_and_points_keep_their_contracts():
     cfg = config("ball", "l1", 3, samples=2000)
     space = space_of(cfg)
-    lams, covs, z, counts = campaigns._lifted_rows(cfg, space, np.arange(cfg.samples))
+    lams, covs, z = campaigns._lifted_rows(cfg, space, np.arange(cfg.samples))
+    counts = (lams > 0).sum(axis=1)
     assert set(counts.tolist()) == set(range(1, SPEC_ATOMS + 1))
     live = np.arange(SPEC_ATOMS) < counts[:, None]
     assert (lams[live] > 0).all() and (lams[~live] == 0).all() and (covs[~live] == 0).all()
@@ -186,12 +205,12 @@ def test_witnesses_past_the_first_block_carry_their_own_index(monkeypatch):
         if campaign == "gradients":
             z, _ = campaigns._gradient_rows(cfg, space, np.arange(30))
         else:
-            lams, covs, z, counts = campaigns._lifted_rows(cfg, space, np.arange(30))
+            lams, covs, z = campaigns._lifted_rows(cfg, space, np.arange(30))
         for w in rep.violations:
             i = w["index"]
             assert w["z"] == [[c.real, c.imag] for c in z[i].tolist()]
             if campaign != "gradients":
-                spec = LiftedMapSpec.from_row(lams[i, : counts[i]], covs[i, : counts[i]])
+                spec = LiftedMapSpec.from_row(lams[i], covs[i])
                 assert w["spec"] == spec.to_json()
 
 
@@ -221,7 +240,7 @@ def test_lifted_witnesses_replay_their_values():
         rep = run_campaign(cfg)
         i = max(range(30), key=lambda k: rep.values[k])
         spec, z = campaigns._lifted_sample(cfg, space_of(cfg), i)
-        assert zalcman_nd(space_of(cfg), spec, z, mode=campaign).zalcman == rep.max_value
+        assert zalcman_nd(space_of(cfg), spec, z).zalcman == rep.max_value
 
 
 def test_homogeneous_parts_are_evaluated_once_per_reduction_row(monkeypatch):

@@ -217,8 +217,6 @@ def test_transfer_function_is_caratheodory_along_rays(space):
 
 def test_zalcman_nd_validates_inputs():
     z = np.array([0.5, 0.2])
-    with pytest.raises(ValueError):
-        zalcman_nd(E2, FIRST_COORDINATE, z, mode="annulus")
     with pytest.raises(ExceptionalPoint):
         zalcman_nd(E2, FIRST_COORDINATE, np.zeros(2))
     with pytest.raises(ExceptionalPoint):
@@ -226,13 +224,12 @@ def test_zalcman_nd_validates_inputs():
 
 
 @pytest.mark.parametrize("space", FAMILIES, ids=family_ids())
-@pytest.mark.parametrize("mode", ["ball", "domain"])
-def test_bound_holds_on_random_lifted_maps(space, mode):
+def test_bound_holds_on_random_lifted_maps(space):
     rng = np.random.default_rng(41)
     for _ in range(60):
         spec = sample_lifted_spec(space, rng)
         z = sample_point(space, rng)
-        assert zalcman_nd(space, spec, z, mode=mode).zalcman <= 2.0 + 1e-9
+        assert zalcman_nd(space, spec, z).zalcman <= 2.0 + 1e-9
 
 
 @pytest.mark.parametrize("space", FAMILIES, ids=family_ids())
@@ -369,14 +366,6 @@ def test_generated_specs_satisfy_their_own_invariants(spec):
     total = sum(lam for lam, _ in spec.atoms)
     assert abs(total - 1.0) < 1e-12
     assert LiftedMapSpec.from_json(spec.to_json()) == spec
-
-
-def test_functional_values_serialize():
-    fv = zalcman_nd(E2, FIRST_COORDINATE, np.array([0.4, 0.1]))
-    obj = fv.to_json()
-    assert obj["mode"] == "ball"
-    assert len(obj["values"]) == 3
-    assert obj["space"] == {"dim": 2, "kind": "lp", "p": 2.0}
 
 
 # --- covector lengths -------------------------------------------------------

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from zalcman.herglotz import DEFAULT_ORDER
 from zalcman.series import (
-    DEFAULT_ORDER,
     NearSingularDivision,
     NonzeroConstantTerm,
     TruncatedSeries,

@@ -243,6 +243,16 @@ def test_search_keeps_an_atom_whose_weight_was_clipped_to_zero():
     assert 0.0 in weights and len(weights) > 1
 
 
+def test_a_long_search_keeps_its_weight_zero_atoms_and_replays_its_value():
+    # Weight 0 is padding only for sampled rows: the search's measure keeps
+    # the live atoms that project_simplex set to 0.
+    o = ZalcmanOrder(4, 4)
+    result = search_extremal(o, 20000, 0)
+    weights = [w for w, _ in result.measure.atoms]
+    assert (len(weights), weights.count(0.0)) == (8, 7)
+    assert zalcman_values(*result.measure.padded(), o).tolist() == [result.value]
+
+
 def test_simplex_projection_clips_renormalizes_and_flags_empty_rows():
     weights = np.zeros((3, MAX_ATOMS))
     weights[0, :3] = (0.5, -0.25, 0.75)

@@ -224,12 +224,18 @@ def test_zalcman_nd_validates_inputs():
 
 
 @pytest.mark.parametrize("space", FAMILIES, ids=family_ids())
-def test_bound_holds_on_random_lifted_maps(space):
+@pytest.mark.parametrize("mode", ["ball", "domain"])
+def test_bound_holds_on_random_lifted_maps(space, mode):
+    # The closed form stands for both normalizations; each mode also
+    # bounds |A2 A3 - A4| assembled from its own pairing route.
+    functional = functional_A if mode == "ball" else functional_B
     rng = np.random.default_rng(41)
     for _ in range(60):
         spec = sample_lifted_spec(space, rng)
         z = sample_point(space, rng)
         assert zalcman_nd(space, spec, z).zalcman <= 2.0 + 1e-9
+        a2, a3, a4 = (functional(space, spec, z, k) for k in (2, 3, 4))
+        assert abs(a2 * a3 - a4) <= 2.0 + 1e-9
 
 
 @pytest.mark.parametrize("space", FAMILIES, ids=family_ids())

@@ -216,72 +216,67 @@ def search_starts(seed: int):
     return (*atom_rows(u, counts), counts)
 
 
-class _Slots(NamedTuple):
-    """Every trial of a full sweep of every restart, one entry per trial, in
-    restart order and then sweep order."""
+_NO_HIT = 4 * MAX_ATOMS  # no hit: past every slot, yet slot arithmetic on it cannot overflow
 
+
+class _Cycle(NamedTuple):
+    """Every sweep slot of every running restart, one entry per trial, in
+    restart order and then slot order.  Slot 2 i tries +step and 2 i + 1
+    tries -step on coordinate i: weights 0..k-1, then angles k..2k-1."""
+
+    live: np.ndarray  # the running restarts, one group of trials each
+    start: np.ndarray  # first trial of each group
+    size: np.ndarray  # slots of each group, 4 k
+    repeats: np.ndarray  # trials of every restart: 4 k if running, else 0
     owner: np.ndarray  # restart that makes the trial
-    position: np.ndarray  # place of the trial in its restart's sweep
+    slots: np.ndarray  # 4 k of the trial's restart
+    position: np.ndarray  # slot of the trial in its restart's sweep
     sign: np.ndarray  # +1.0 or -1.0: the trial moves its coordinate by sign * step
-    on_weight: np.ndarray  # True for a weight trial, False for an angle trial
     column: np.ndarray  # atom whose weight or angle the trial moves
+    weight: np.ndarray  # the weight trials
+    angle: np.ndarray  # the angle trials
+    rank: np.ndarray  # place of an angle trial among them, -1 for a weight trial
 
 
-def _sweep_slots(counts: np.ndarray) -> _Slots:
-    """The sweep slots of restarts with ``counts`` atoms.
+def _cycle_layout(counts: np.ndarray, running: np.ndarray) -> _Cycle:
+    """The ``_Cycle`` of the ``running`` restarts with ``counts`` atoms."""
+    live = running.nonzero()[0]
+    size = 4 * counts[live]
+    start = size.cumsum() - size
+    slots = size.repeat(size)
+    position = np.arange(len(slots)) - start.repeat(size)
+    coord, k = position // 2, slots // 4
+    w = coord < k
+    return _Cycle(live, start, size, 4 * counts * running, live.repeat(size), slots, position,
+                  1.0 - 2.0 * (position % 2), coord % k, w.nonzero()[0], (~w).nonzero()[0],
+                  np.where(w, -1, np.cumsum(~w) - 1))
 
-    Position 2 i tries +step and 2 i + 1 tries -step on coordinate i:
-    weights 0..k-1, then angles k..2k-1, so a restart with k atoms has 4 k
-    slots.
+
+def _cycle_trials(cycle, step, weights, angles, table):
+    """Every trial of the ``cycle`` as (weights, angles, phase tables,
+    skipped, moved columns), from its restart's weights, angles and table of
+    node powers (see ``herglotz.phase_table``).  A weight trial is projected
+    onto the simplex in place; one without a projection stays, clipped, and
+    is listed in ``skipped``.  An angle trial recomputes only the column of
+    the angle it moves (column ``cycle.rank`` of the moved columns) from one
+    cos and sin.  So every trial's table is ``phase_table`` of its angles
+    bit for bit, and ``table_values`` ranks it as ``zalcman_values`` would.
     """
-    owner = np.repeat(np.arange(len(counts)), 4 * counts)
-    position = np.arange(len(owner)) - np.repeat(np.cumsum(4 * counts) - 4 * counts, 4 * counts)
-    coord, k = position // 2, counts[owner]
-    on_weight = coord < k
-    sign = 1.0 - 2.0 * (position % 2)
-    return _Slots(owner, position, sign, on_weight, np.where(on_weight, coord, coord - k))
-
-
-def _sweep_trials(slots, running, pos, step, weights, angles, table):
-    """The trials left in the current sweep of each running restart, as
-    (restart, sweep position, weights, angles, phase table), grouped by
-    restart in sweep order.
-
-    The trials are the slots (see ``_sweep_slots``) of running restarts at
-    or after their restart's sweep position ``pos``, selected with one
-    mask.  Each trial starts from its restart's weights, angles and
-    atom-major phase table of node powers (see ``herglotz.phase_table``),
-    gathered along the row axis.  A weight trial is projected onto the
-    simplex in place, and left out when it has no projection; it keeps its
-    restart's table.  An angle trial recomputes only the column of the angle
-    it moves: one cos and sin of the moved angle, and its powers.  So every
-    trial's table is ``phase_table`` of its angles bit for bit, and
-    ``table_values`` ranks it as ``zalcman_values`` would.
-    """
-    pick = (running.take(slots.owner) & (slots.position >= pos.take(slots.owner))).nonzero()[0]
-    owner, col, on_w = slots.owner.take(pick), slots.column.take(pick), slots.on_weight.take(pick)
-    delta = step.take(owner) * slots.sign.take(pick)
-    tw, ta = weights.take(owner, axis=0), angles.take(owner, axis=0)
-    # The trials are grouped by restart, so repeating each restart's table
-    # column gathers them, about twice as fast as take along the last axis.
-    tt = table.repeat(np.bincount(owner, minlength=len(pos)), axis=2)
-    iw, ia = on_w.nonzero()[0], (~on_w).nonzero()[0]
-
+    # The trials are grouped by restart, so repeating each restart's rows
+    # gathers them, about twice as fast as take along the table's last axis.
+    tw, ta = weights.repeat(cycle.repeats, axis=0), angles.repeat(cycle.repeats, axis=0)
+    tt = table.repeat(cycle.repeats, axis=2)
+    delta = step.repeat(cycle.repeats) * cycle.sign
+    iw, ia = cycle.weight, cycle.angle
     w = tw.take(iw, axis=0)
-    w[np.arange(len(iw)), col.take(iw)] += delta.take(iw)
+    w[np.arange(len(iw)), cycle.column.take(iw)] += delta.take(iw)
     tw[iw], ok = project_simplex(w)
-
-    ca = col.take(ia)
+    ca = cycle.column.take(ia)
     moved = ta[ia, ca] + delta.take(ia)
     ta[ia, ca] = moved
-    tt[ca, :, ia] = phase_table(moved[:, None], table.shape[1] // 2)[0].T
-
-    position = slots.position.take(pick)
-    if ok.all():
-        return owner, position, tw, ta, tt
-    keep = np.ones(len(owner), dtype=bool)
-    keep[iw[~ok]] = False
-    return owner[keep], position[keep], tw[keep], ta[keep], tt[:, :, keep]
+    columns = phase_table(moved[:, None], table.shape[1] // 2)[0]
+    tt[ca, :, ia] = columns.T
+    return tw, ta, tt, iw[~ok], columns
 
 
 def search_extremal(order: ZalcmanOrder, budget: int, seed: int) -> SearchResult:
@@ -295,26 +290,29 @@ def search_extremal(order: ZalcmanOrder, budget: int, seed: int) -> SearchResult
     the restart's current value is accepted and the sweep goes on from it; a
     sweep without an acceptance halves the step, down to SEARCH_STEP_FLOOR.
 
-    The SEARCH_RESTARTS restarts (``search_starts``) advance together:
-    each round ranks the rest of every running restart's sweep in one
-    ``table_values`` batch, accepts each restart's first improving trial
-    and drops the trials after it, to be issued again from the new state
-    in the next round.  The sweep slots of all restarts are built once per
-    search (``_sweep_slots``), and a round selects its trials from them
-    with one mask.  Each restart keeps the atom-major phase table (the node
-    powers) of its current angles, replaced only on acceptance, so a round
-    takes one cos and sin only for the moved angle of each angle trial (see
-    ``_sweep_trials``), and every |J| it ranks equals ``zalcman_values`` of
-    the trial's row bit for bit.  The result is that
-    of running the restarts one after another.  ``budget`` caps the
-    evaluated trials, at most MAX_BUDGET (skipped ones do not count; the
-    starts are free, so budget 0 reports the best start): restart r may
-    evaluate ``budget`` minus what restarts 0..r-1 evaluated.  The best candidate is the first
-    value to beat the running best by strict >, over the starts and then
-    restart 0, 1, ...  So the result is deterministic in (seed, budget) and
-    monotone in budget.  The reported value is the best measure's |J|
-    through the batched kernel, so ``coeffs_from_p`` and ``zalcman_J``
-    replay it bit for bit.
+    The SEARCH_RESTARTS restarts (``search_starts``) advance together: a
+    round ranks the whole cycle of each running restart in one
+    ``table_values`` batch, its slots from its sweep position ``pos`` on and
+    then those before it, at one step and from one state.  ``pos`` > 0
+    exactly when the restart has accepted a trial in its sweep, so if the
+    rest of the sweep misses, the next sweep runs at the same step from the
+    same state: its slots before ``pos`` are the cycle's wrapped part, and
+    the others cannot hit.  So the cycle's first hit is the next acceptance;
+    a cycle without one halves the step.  Trials count up to the first hit,
+    and in a cycle without one those from a nonzero ``pos`` on count twice,
+    as the sequential search ranks them again.  Each restart keeps the
+    phase table of its current angles, so a round takes one cos and sin per
+    angle trial (``_cycle_trials``) and ranks every trial as
+    ``zalcman_values`` would, bit for bit.  The result is that of running
+    the restarts one after another.
+    ``budget`` caps the evaluated trials, at most MAX_BUDGET (skipped ones
+    do not count; the starts are free, so budget 0 reports the best start):
+    restart r may evaluate ``budget`` minus what restarts 0..r-1 evaluated.
+    The best candidate is the first value to beat the running best by
+    strict >, over the starts and then restart 0, 1, ...  So the result is
+    deterministic in (seed, budget) and monotone in budget.  The reported
+    value is the best measure's |J| through the batched kernel, so
+    ``coeffs_from_p`` and ``zalcman_J`` replay it bit for bit.
     """
     if not 0 <= budget <= MAX_BUDGET:
         raise ValueError(f"budget must be between 0 and {MAX_BUDGET}")
@@ -326,46 +324,48 @@ def search_extremal(order: ZalcmanOrder, budget: int, seed: int) -> SearchResult
 
     step = np.full(SEARCH_RESTARTS, SEARCH_STEP_START)
     pos = np.zeros(SEARCH_RESTARTS, dtype=np.int64)
-    improved = np.zeros(SEARCH_RESTARTS, dtype=bool)
     used = np.zeros(SEARCH_RESTARTS, dtype=np.int64)
     running = np.full(SEARCH_RESTARTS, budget > 0)
-    slots = _sweep_slots(counts)
+    cycle = _cycle_layout(counts, running)
     # Accepted trials of each round as (restart, evaluation index, value,
     # weights, angles).  A trial that beats the running best also beats its
     # restart's current value, so the best candidate is among them.
     history = []
     while True:
         # What restarts 0..r-1 have evaluated so far bounds what restart r may.
-        running &= used < budget - (np.cumsum(used) - used)
+        running &= used < budget - (used.cumsum() - used)
         if not running.any():
             break
-        owner, j, tw, ta, tt = _sweep_trials(slots, running, pos, step, weights, angles, table)
-        vals = table_values(tw, tt.copy(), order)  # the winners' columns are read below
+        if np.count_nonzero(running) < len(cycle.live):
+            cycle = _cycle_layout(counts, running)
+        tw, ta, tt, skipped, columns = _cycle_trials(cycle, step, weights, angles, table)
+        vals = table_values(tw, tt, order)
 
-        # Each restart takes its first improving trial; the rest are dropped.
-        # The trials are grouped by restart, so a hit opens its restart's run
-        # of hits when the hit before it belongs to another restart.
-        hit = (vals > current.take(owner)).nonzero()[0]
-        hit_owner = owner.take(hit)
-        first = np.ones(hit.size, dtype=bool)
-        first[1:] = hit_owner[1:] != hit_owner[:-1]
-        a = hit[first]
-        won = hit_owner[first]
-        spent = np.bincount(owner, minlength=SEARCH_RESTARTS)
-        spent[won] = a - np.searchsorted(owner, won) + 1
-        used += spent
+        # The first hit of each restart in its cycle, which starts at pos.
+        live, owner = cycle.live, cycle.owner
+        rot = (cycle.position - pos.take(owner)) % cycle.slots
+        hit = vals > current.take(owner)
+        hit[skipped] = False
+        first = np.minimum.reduceat(np.where(hit, rot, _NO_HIT), cycle.start)
+        # Trials count up to the first hit; in a cycle without one, those from
+        # a nonzero pos on (exactly where rot < position) count twice.
+        last = first.repeat(cycle.size)
+        counted = (rot <= last).astype(np.int64) + ((last == _NO_HIT) & (rot < cycle.position))
+        counted[skipped] = 0
+        used[live] += np.add.reduceat(counted, cycle.start)
+
+        found = first < _NO_HIT
+        slot = (first + pos.take(live)) % cycle.size
+        won, a = live[found], (cycle.start + slot)[found]
         va, wa, aa = vals.take(a), tw.take(a, axis=0), ta.take(a, axis=0)
         history.append((won, used.take(won) - 1, va, wa, aa))
         weights[won], angles[won], current[won] = wa, aa, va
-        table[:, :, won] = tt.take(a, axis=2)
-        improved[won] = True
-        pos[won] = j.take(a) + 1
-
-        ended = running.copy()
-        ended[won] = pos[won] == 4 * counts[won]
-        step[ended & ~improved] /= 2.0
-        pos[ended] = 0
-        improved[ended] = False
+        # tt is consumed: a winning angle trial writes its one new column.
+        rank = cycle.rank.take(a)
+        turned = rank >= 0
+        table[cycle.column.take(a[turned]), :, won[turned]] = columns[:, rank[turned]].T
+        pos[live] = np.where(found, (slot + 1) % cycle.size, 0)
+        step[live[~found]] /= 2.0
         running &= step >= SEARCH_STEP_FLOOR
 
     # Run one after another, restart r would stop after `left[r]` evaluations

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import hashlib
 import io
 import itertools
 import json
@@ -162,6 +163,23 @@ def test_json_rendering_is_deterministic_and_roundtrips():
     ]
     assert obj["max_value"] == rep.max_value
     assert obj["version"] == REPORT_VERSION
+
+
+@pytest.mark.parametrize(
+    "order,seed,budget,fmt,digest",
+    [
+        ((2, 3), 0, 20000, "json", "38262960d08c6d5547ae8889ad5d2d6d1c5254cfe442cdb151a914fc50360f50"),
+        ((4, 4), 1, 1500, "csv", "6c0be1590a8589091cf75cb79e577dfab36e2318facdf19f514c1620856c4a4f"),
+    ],
+    ids=["23-json", "44-csv"],
+)
+def test_search_report_bytes_are_pinned(order, seed, budget, fmt, digest):
+    # Report bytes are a contract: a change that moves them takes a new
+    # REPORT_VERSION and new digests.  runtime_ms is wall-clock, so it is cut.
+    rep = run_campaign(CampaignConfig("search", seed=seed, order=order, budget=budget))
+    text = re.sub(r'\n *"runtime_ms": \d+,', "", render_report(rep, fmt))
+    assert "runtime_ms" not in text
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_violation_witness_survives_the_json_roundtrip():

@@ -235,6 +235,16 @@ def test_batched_search_equals_the_sequential_search(order, seed):
     assert expected[2000].evaluations == 2000 < expected[20000].evaluations < 20000
 
 
+@pytest.mark.parametrize("order", [ZalcmanOrder(2, 3), ZalcmanOrder(4, 4)], ids=["23", "44"])
+def test_search_equals_the_sequential_search_at_dense_budgets(order):
+    # A budget every 37 evaluations also cuts rounds whose cycle wrapped
+    # past the end of a sweep, which a few fixed budgets can miss.
+    budgets = (*range(0, 2500, 37), 20000)
+    expected = _reference_search(order, 3, budgets)
+    for budget in budgets:
+        assert search_extremal(order, budget, 3) == expected[budget], budget
+
+
 def test_search_keeps_an_atom_whose_weight_was_clipped_to_zero():
     o, budget, seed = ZalcmanOrder(2, 4), 200, 0
     result = search_extremal(o, budget, seed)
@@ -279,9 +289,8 @@ def test_trials_without_a_projection_are_skipped_and_not_counted(monkeypatch):
 @pytest.mark.parametrize("order", SEARCH_ORDERS, ids=lambda o: f"{o.m}{o.n}")
 def test_cached_phase_tables_rank_trials_as_the_kernel_does(order, seed):
     # Restarts with 1..8 atoms, some weights below the step (so a -step
-    # trial clips them to 0), steps from 2 down to the floor, and sweeps
-    # entered at every position.  Restart 0, one atom at step 2 from the
-    # start of its sweep, has a -step weight trial without a projection.
+    # trial clips them to 0) and steps from 2 down to the floor.  Restart 0,
+    # one atom at step 2, has a -step weight trial without a projection.
     rng = np.random.default_rng(seed)
     restarts = 4 * MAX_ATOMS
     counts = np.arange(restarts) % MAX_ATOMS + 1
@@ -290,17 +299,21 @@ def test_cached_phase_tables_rank_trials_as_the_kernel_does(order, seed):
     weights, _ = project_simplex(np.where(tiny, 1e-9 * weights, weights))
     steps = np.array([2.0, 0.25, 1e-3, starlike.SEARCH_STEP_FLOOR])
     step = steps[rng.integers(0, len(steps), restarts)]
-    pos = rng.integers(0, 4 * counts)
     step[counts == 1] = 0.25
-    step[0], pos[0] = 2.0, 0
-    table = phase_table(angles, order.top_coefficient - 1)
+    step[0] = 2.0
+    count = order.top_coefficient - 1
+    table = phase_table(angles, count)
     running = (rng.random(restarts) < 0.8) | (np.arange(restarts) == 0)
-    slots = starlike._sweep_slots(counts)
-    owner, j, tw, ta, tt = starlike._sweep_trials(
-        slots, running, pos, step, weights, angles, table
-    )
-    on_w = j // 2 < counts[owner]
-    assert on_w.any() and (~on_w).any() and (tw[on_w] == 0).sum() > (weights[owner][on_w] == 0).sum()
-    assert len(owner) == (4 * counts[running] - pos[running]).sum() - 1  # restart 0's -step weight trial
-    assert (tt == phase_table(ta, order.top_coefficient - 1)).all()
+    cycle = starlike._cycle_layout(counts, running)
+    tw, ta, tt, skipped, columns = starlike._cycle_trials(cycle, step, weights, angles, table)
+    kept = np.ones(len(cycle.owner), dtype=bool)
+    kept[skipped] = False
+    on_w, start = cycle.rank < 0, weights[cycle.owner]
+    assert on_w.any() and (~on_w).any()
+    assert (tw[on_w & kept] == 0).sum() > (start[on_w & kept] == 0).sum()
+    assert skipped.tolist() == [1]  # restart 0's -step weight trial
+    assert kept.sum() == (4 * counts[running]).sum() - 1
+    assert (tt == phase_table(ta, count)).all()
+    turned = (~on_w).nonzero()[0]
+    assert (tt[cycle.column[turned], :, turned] == columns[:, cycle.rank[turned]].T).all()
     assert (table_values(tw, tt, order) == zalcman_values(tw, ta, order)).all()

@@ -394,10 +394,10 @@ def starlikeness_scan(
     with np.errstate(divide="ignore", invalid="ignore"):
         for z0, xs in zip(directions, x):
             h = _transfer(lams, xs, zeta)
-            min_real = np.minimum(min_real, h.real.min())
-            bad = np.flatnonzero(~(h.real > 0.0))
-            if witness is None and bad.size:
-                k = bad[0]
+            least = h.real.min()  # NaN when any entry is NaN
+            min_real = np.minimum(min_real, least)
+            if witness is None and not least > 0.0:
+                k = np.argmin(h.real > 0.0)
                 witness = ScanWitness(tuple(complex(c) for c in z0), complex(zeta[k]), complex(h[k]))
     if witness is None:
         witness = pole_witness(space, spec)

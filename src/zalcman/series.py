@@ -1,14 +1,11 @@
 """Truncated one-variable power series over the complex numbers.
 
-Every coefficient computation in this package runs through degree-N jets:
-a series is a finite coefficient vector c_0..c_N, with the exponential,
+A series is a finite coefficient vector c_0..c_N, with the exponential,
 the quotient (truncated to the shorter operand) and evaluation.
 Coefficient k is the k-th Taylor coefficient of the represented function
-(c_1 = g'(0), c_2 = g''(0)/2, ...).
-
-``series_exp`` and ``series_div`` work on (rows, N + 1) coefficient
-arrays, one series per row; the methods of ``TruncatedSeries`` are
-batch-of-one calls into them.
+(c_1 = g'(0), c_2 = g''(0)/2, ...).  Only the oracle
+``starlike.coeffs_oracle`` and ``mappings.restrict_h`` use it, one series
+at a time; the kernels work on coefficient arrays of their own.
 """
 
 from __future__ import annotations
@@ -28,40 +25,6 @@ class NearSingularDivision(ArithmeticError):
 
 class NonzeroConstantTerm(ValueError):
     """Series exponential of a series whose constant term is not exactly 0."""
-
-
-def series_exp(a: np.ndarray) -> np.ndarray:
-    """Exponential of every row of a (rows, N + 1) coefficient array whose
-    constant terms are 0 (not checked here).
-
-    Computed from e' = a'*e coefficientwise: n e_n = sum_k k a_k e_{n-k},
-    which is exact at the truncation order and costs O(N^2).
-    """
-    ka = a * np.arange(a.shape[1])
-    e = np.zeros(ka.shape, dtype=complex)
-    e[:, 0] = 1.0
-    for m in range(1, a.shape[1]):
-        e[:, m] = (ka[:, 1 : m + 1] * e[:, m - 1 :: -1]).sum(axis=1) / m
-    return e
-
-
-def series_div(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise quotients q with q*b == a up to the common order.
-
-    Requires every |b_0| > DIV_EPS; solved by the forward recurrence
-    q_k = (a_k - sum_{j=1..k} b_j q_{k-j}) / b_0.
-    """
-    b0 = b[:, 0]
-    small = np.hypot(b0.real, b0.imag) <= DIV_EPS
-    if small.any():
-        raise NearSingularDivision(
-            f"denominator constant term {complex(b0[small][0])!r} has modulus <= {DIV_EPS}"
-        )
-    q = np.zeros((len(a), min(a.shape[1], b.shape[1])), dtype=complex)
-    q[:, 0] = a[:, 0] / b0
-    for k in range(1, q.shape[1]):
-        q[:, k] = (a[:, k] - (b[:, 1 : k + 1] * q[:, k - 1 :: -1]).sum(axis=1)) / b0
-    return q
 
 
 @dataclass(frozen=True)
@@ -84,17 +47,37 @@ class TruncatedSeries:
         return len(self.coeffs) - 1
 
     def __truediv__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        """Series quotient q with q*other == self up to the common order
-        (``series_div``); requires |other_0| > DIV_EPS."""
-        q = series_div(np.array([self.coeffs]), np.array([other.coeffs]))
-        return TruncatedSeries(tuple(q[0].tolist()))
+        """Series quotient q with q*other == self up to the common order;
+        requires |other_0| > DIV_EPS.
+
+        Solved by the forward recurrence
+        q_k = (a_k - sum_{j=1..k} b_j q_{k-j}) / b_0.
+        """
+        a, b = np.array(self.coeffs), np.array(other.coeffs)
+        if abs(b[0]) <= DIV_EPS:
+            raise NearSingularDivision(
+                f"denominator constant term {other.coeffs[0]!r} has modulus <= {DIV_EPS}"
+            )
+        q = np.zeros(min(len(a), len(b)), dtype=complex)
+        q[0] = a[0] / b[0]
+        for k in range(1, len(q)):
+            q[k] = (a[k] - (b[1 : k + 1] * q[k - 1 :: -1]).sum()) / b[0]
+        return TruncatedSeries(tuple(q.tolist()))
 
     def exp(self) -> "TruncatedSeries":
-        """Series exponential (``series_exp``); the constant term must be
-        exactly 0."""
+        """Series exponential; the constant term must be exactly 0.
+
+        Computed from e' = a'*e coefficientwise: n e_n = sum_k k a_k e_{n-k},
+        which is exact at the truncation order and costs O(N^2).
+        """
         if self.coeffs[0] != 0:
             raise NonzeroConstantTerm(f"exp needs constant term 0, got {self.coeffs[0]!r}")
-        return TruncatedSeries(tuple(series_exp(np.array([self.coeffs]))[0].tolist()))
+        ka = np.array(self.coeffs) * np.arange(len(self.coeffs))
+        e = np.zeros(len(ka), dtype=complex)
+        e[0] = 1.0
+        for m in range(1, len(e)):
+            e[m] = (ka[1 : m + 1] * e[m - 1 :: -1]).sum() / m
+        return TruncatedSeries(tuple(e.tolist()))
 
     def eval(self, zeta: complex) -> complex:
         """Horner evaluation of the truncated polynomial at ``zeta``."""

@@ -253,30 +253,32 @@ def _cycle_layout(counts: np.ndarray, running: np.ndarray) -> _Cycle:
 
 
 def _cycle_trials(cycle, step, weights, angles, table):
-    """Every trial of the ``cycle`` as (weights, angles, phase tables,
-    skipped, moved columns), from its restart's weights, angles and table of
-    node powers (see ``herglotz.phase_table``).  A weight trial is projected
-    onto the simplex in place; one without a projection stays, clipped, and
-    is listed in ``skipped``.  An angle trial recomputes only the column of
-    the angle it moves (column ``cycle.rank`` of the moved columns) from one
-    cos and sin.  So every trial's table is ``phase_table`` of its angles
-    bit for bit, and ``table_values`` ranks it as ``zalcman_values`` would.
+    """Every trial of the ``cycle`` as (weights, phase tables, moved angles,
+    moved columns), from its restart's weights, angles and table of node
+    powers (see ``herglotz.phase_table``).  A weight trial is projected onto
+    the simplex in place.  An angle trial recomputes only the column of the
+    angle it moves (column ``cycle.rank`` of the moved columns) from one cos
+    and sin.  So every trial's table is ``phase_table`` of its angles bit
+    for bit, and ``table_values`` ranks it as ``zalcman_values`` would.
+
+    A trial moves one weight of a unit sum by less than 1 while every step
+    is below 1, so its projection is never empty; an empty one raises.
     """
     # The trials are grouped by restart, so repeating each restart's rows
     # gathers them, about twice as fast as take along the table's last axis.
-    tw, ta = weights.repeat(cycle.repeats, axis=0), angles.repeat(cycle.repeats, axis=0)
-    tt = table.repeat(cycle.repeats, axis=2)
+    tw, tt = weights.repeat(cycle.repeats, axis=0), table.repeat(cycle.repeats, axis=2)
     delta = step.repeat(cycle.repeats) * cycle.sign
     iw, ia = cycle.weight, cycle.angle
     w = tw.take(iw, axis=0)
     w[np.arange(len(iw)), cycle.column.take(iw)] += delta.take(iw)
     tw[iw], ok = project_simplex(w)
+    if not ok.all():
+        raise RuntimeError("a weight trial has no simplex projection: every step must be below 1")
     ca = cycle.column.take(ia)
-    moved = ta[ia, ca] + delta.take(ia)
-    ta[ia, ca] = moved
+    moved = angles[cycle.owner.take(ia), ca] + delta.take(ia)
     columns = phase_table(moved[:, None], table.shape[1] // 2)[0]
     tt[ca, :, ia] = columns.T
-    return tw, ta, tt, iw[~ok], columns
+    return tw, tt, moved, columns
 
 
 def search_extremal(order: ZalcmanOrder, budget: int, seed: int) -> SearchResult:
@@ -285,10 +287,10 @@ def search_extremal(order: ZalcmanOrder, budget: int, seed: int) -> SearchResult
     Multi-start coordinate pattern search (Torczon, SIAM J. Optim. 1997)
     over atom weights and angles.  A sweep of a restart with k atoms tries
     +step and -step on each weight, then on each angle, in that order; the
-    weights of a weight trial are projected back onto the simplex, and a
-    trial whose projection is empty is skipped.  The first trial that beats
-    the restart's current value is accepted and the sweep goes on from it; a
-    sweep without an acceptance halves the step, down to SEARCH_STEP_FLOOR.
+    weights of a weight trial are projected back onto the simplex.  The
+    first trial that beats the restart's current value is accepted and the
+    sweep goes on from it; a sweep without an acceptance halves the step,
+    down to SEARCH_STEP_FLOOR.
 
     The SEARCH_RESTARTS restarts (``search_starts``) advance together: a
     round ranks the whole cycle of each running restart in one
@@ -298,15 +300,15 @@ def search_extremal(order: ZalcmanOrder, budget: int, seed: int) -> SearchResult
     rest of the sweep misses, the next sweep runs at the same step from the
     same state: its slots before ``pos`` are the cycle's wrapped part, and
     the others cannot hit.  So the cycle's first hit is the next acceptance;
-    a cycle without one halves the step.  Trials count up to the first hit,
-    and in a cycle without one those from a nonzero ``pos`` on count twice,
-    as the sequential search ranks them again.  Each restart keeps the
-    phase table of its current angles, so a round takes one cos and sin per
-    angle trial (``_cycle_trials``) and ranks every trial as
-    ``zalcman_values`` would, bit for bit.  The result is that of running
-    the restarts one after another.
-    ``budget`` caps the evaluated trials, at most MAX_BUDGET (skipped ones
-    do not count; the starts are free, so budget 0 reports the best start):
+    a cycle without one halves the step.  A cycle counts its trials up to
+    its first hit, else its 4k trials and the 4k - ``pos`` from a nonzero
+    ``pos`` on once more, as the sequential search ranks those twice.  Each
+    restart keeps the phase table of its current angles, so a round takes
+    one cos and sin per angle trial (``_cycle_trials``) and ranks every
+    trial as ``zalcman_values`` would, bit for bit.  The result is that of
+    running the restarts one after another.
+    ``budget`` caps the evaluated trials, at most MAX_BUDGET (the starts
+    are free, so budget 0 reports the best start):
     restart r may evaluate ``budget`` minus what restarts 0..r-1 evaluated.
     The best candidate is the first value to beat the running best by
     strict >, over the starts and then restart 0, 1, ...  So the result is
@@ -338,32 +340,30 @@ def search_extremal(order: ZalcmanOrder, budget: int, seed: int) -> SearchResult
             break
         if np.count_nonzero(running) < len(cycle.live):
             cycle = _cycle_layout(counts, running)
-        tw, ta, tt, skipped, columns = _cycle_trials(cycle, step, weights, angles, table)
+        tw, tt, moved, columns = _cycle_trials(cycle, step, weights, angles, table)
         vals = table_values(tw, tt, order)
 
         # The first hit of each restart in its cycle, which starts at pos.
-        live, owner = cycle.live, cycle.owner
+        live, owner, at = cycle.live, cycle.owner, pos.take(cycle.live)
         rot = (cycle.position - pos.take(owner)) % cycle.slots
         hit = vals > current.take(owner)
-        hit[skipped] = False
         first = np.minimum.reduceat(np.where(hit, rot, _NO_HIT), cycle.start)
-        # Trials count up to the first hit; in a cycle without one, those from
-        # a nonzero pos on (exactly where rot < position) count twice.
-        last = first.repeat(cycle.size)
-        counted = (rot <= last).astype(np.int64) + ((last == _NO_HIT) & (rot < cycle.position))
-        counted[skipped] = 0
-        used[live] += np.add.reduceat(counted, cycle.start)
-
         found = first < _NO_HIT
-        slot = (first + pos.take(live)) % cycle.size
+        # Up to the first hit; else the cycle, then its slots from a nonzero pos on again.
+        used[live] += np.where(found, first + 1, cycle.size + (cycle.size - at) % cycle.size)
+
+        slot = (first + at) % cycle.size
         won, a = live[found], (cycle.start + slot)[found]
-        va, wa, aa = vals.take(a), tw.take(a, axis=0), ta.take(a, axis=0)
-        history.append((won, used.take(won) - 1, va, wa, aa))
-        weights[won], angles[won], current[won] = wa, aa, va
-        # tt is consumed: a winning angle trial writes its one new column.
+        va, wa, aa = vals.take(a), tw.take(a, axis=0), angles.take(won, axis=0)
+        # A winning angle trial moves one angle and writes its one new column
+        # (tt is consumed).
         rank = cycle.rank.take(a)
         turned = rank >= 0
-        table[cycle.column.take(a[turned]), :, won[turned]] = columns[:, rank[turned]].T
+        ca, ra = cycle.column.take(a[turned]), rank[turned]
+        aa[turned, ca] = moved.take(ra)
+        history.append((won, used.take(won) - 1, va, wa, aa))
+        weights[won], angles[won], current[won] = wa, aa, va
+        table[ca, :, won[turned]] = columns[:, ra].T
         pos[live] = np.where(found, (slot + 1) % cycle.size, 0)
         step[live[~found]] /= 2.0
         running &= step >= SEARCH_STEP_FLOOR

@@ -79,23 +79,24 @@ def test_subseeds_are_stable_and_distinct():
     assert subseed(4, 9).entropy != subseed(9, 4).entropy
 
 
+# Each case keeps its id when another is added or removed.
 @pytest.mark.parametrize(
     "cfg",
     [
-        CampaignConfig("nosuch"),
-        CampaignConfig("zalcman1d", samples=0),
-        CampaignConfig("zalcman1d", seed=-1),
-        CampaignConfig("zalcman1d", tolerance=0.0),
-        CampaignConfig("zalcman1d", order=(5, 3)),
-        CampaignConfig("ball", dim=1),
-        CampaignConfig("domain", dim=1),
-        CampaignConfig("ball", norm="foo"),
-        CampaignConfig("ball", norm="lp:abc"),
-        CampaignConfig("ball", norm="lp:1"),
-        CampaignConfig("search", budget=-2),
-        CampaignConfig("zalcman1d", tolerance=math.nan),
-        CampaignConfig("zalcman1d", tolerance=math.inf),
-        CampaignConfig("zalcman1d", tolerance=-math.inf),
+        pytest.param(CampaignConfig("nosuch"), id="cfg0"),
+        pytest.param(CampaignConfig("zalcman1d", samples=0), id="cfg1"),
+        pytest.param(CampaignConfig("zalcman1d", seed=-1), id="cfg2"),
+        pytest.param(CampaignConfig("zalcman1d", tolerance=0.0), id="cfg3"),
+        pytest.param(CampaignConfig("zalcman1d", order=(5, 3)), id="cfg4"),
+        pytest.param(CampaignConfig("ball", dim=1), id="cfg5"),
+        pytest.param(CampaignConfig("domain", dim=1), id="cfg6"),
+        pytest.param(CampaignConfig("ball", norm="foo"), id="cfg7"),
+        pytest.param(CampaignConfig("ball", norm="lp:abc"), id="cfg8"),
+        pytest.param(CampaignConfig("ball", norm="lp:1"), id="cfg9"),
+        pytest.param(CampaignConfig("search", budget=-2), id="cfg10"),
+        pytest.param(CampaignConfig("zalcman1d", tolerance=math.nan), id="cfg11"),
+        pytest.param(CampaignConfig("zalcman1d", tolerance=math.inf), id="cfg12"),
+        pytest.param(CampaignConfig("zalcman1d", tolerance=-math.inf), id="cfg13"),
     ],
 )
 def test_inconsistent_configs_raise_usage_errors(cfg):

@@ -495,6 +495,26 @@ def test_a_grid_point_on_a_pole(atoms, passed, min_real, monkeypatch):
         json.dumps(rep.witness.to_json(), allow_nan=False)
 
 
+def test_a_nan_on_the_grid_is_the_witness(monkeypatch):
+    # Re h = NaN is not positive, so it fails a map whose other grid values
+    # are all positive, and it makes min_real NaN.
+    transfer, calls = mappings._transfer, []
+
+    def nan_in_the_second_direction(lams, xs, zeta):
+        h = transfer(lams, xs, zeta)
+        calls.append(h)
+        if len(calls) == 2:
+            h[7] = complex(math.nan, 1.0)
+        return h
+
+    monkeypatch.setattr(mappings, "_transfer", nan_in_the_second_direction)
+    grid = GridSpec(directions=3, radii=2, angles=8)
+    rep = starlikeness_scan(E2, make_extremal_ball(E2, np.array([1.0, 0.0])), grid)
+    assert len(calls) == 3 and math.isnan(rep.min_real) and not rep.passed
+    assert rep.witness.zeta == grid.rmin * np.exp(2j * np.pi * 7 / 8)
+    assert math.isnan(rep.witness.h_value.real)
+
+
 def per_direction_scan(space, spec, grid, seed):
     """The scan as it was written before its directions were batched: one
     ``sample_direction`` draw and one ``h_eval`` call per direction, with

@@ -274,46 +274,60 @@ def test_simplex_projection_clips_renormalizes_and_flags_empty_rows():
     assert (projected[:, 3:] == 0).all()
 
 
-def test_trials_without_a_projection_are_skipped_and_not_counted(monkeypatch):
-    # A weight trial moves one weight of a unit sum by at most the step, so
-    # below step 1 every trial has a projection.  A first step of 2 takes
-    # the single weight of restart 0 to -1, whose projection is empty.
+def test_a_weight_trial_without_a_projection_raises(monkeypatch):
+    # A first step of 2 takes the single weight of restart 0 to -1, whose
+    # projection is empty; the shipped schedule never gets there.
     monkeypatch.setattr(starlike, "SEARCH_STEP_START", 2.0)
-    o, seed, budgets = ZalcmanOrder(2, 3), 4, (0, 1, 2, 5, 300, 20000)
-    expected = _reference_search(o, seed, budgets)
-    for budget in budgets:
-        assert search_extremal(o, budget, seed) == expected[budget], budget
+    with pytest.raises(RuntimeError, match="no simplex projection"):
+        search_extremal(ZalcmanOrder(2, 3), 20000, 4)
+
+
+def test_every_weight_trial_of_the_shipped_schedule_has_a_projection(monkeypatch):
+    # A weight trial moves one weight of a unit sum by less than 1, so its
+    # clipped sum stays positive; the search relies on that.
+    assert starlike.SEARCH_STEP_START < 1
+    seen = []
+
+    def spy(weights):
+        projected, ok = project_simplex(weights)
+        seen.append(bool(ok.all()))
+        return projected, ok
+
+    monkeypatch.setattr(starlike, "project_simplex", spy)
+    for order in SEARCH_ORDERS:
+        search_extremal(order, 20000, 0)
+    assert seen and all(seen)
 
 
 @pytest.mark.parametrize("seed", range(4))
 @pytest.mark.parametrize("order", SEARCH_ORDERS, ids=lambda o: f"{o.m}{o.n}")
 def test_cached_phase_tables_rank_trials_as_the_kernel_does(order, seed):
     # Restarts with 1..8 atoms, some weights below the step (so a -step
-    # trial clips them to 0) and steps from 2 down to the floor.  Restart 0,
-    # one atom at step 2, has a -step weight trial without a projection.
+    # trial clips them to 0) and steps from 0.75 down to the floor.
     rng = np.random.default_rng(seed)
     restarts = 4 * MAX_ATOMS
     counts = np.arange(restarts) % MAX_ATOMS + 1
     weights, angles = atom_rows(rng.random((restarts, 2 * MAX_ATOMS)), counts)
     tiny = (rng.random(weights.shape) < 0.3) & (weights > 0)
     weights, _ = project_simplex(np.where(tiny, 1e-9 * weights, weights))
-    steps = np.array([2.0, 0.25, 1e-3, starlike.SEARCH_STEP_FLOOR])
+    steps = np.array([0.75, 0.25, 1e-3, starlike.SEARCH_STEP_FLOOR])
     step = steps[rng.integers(0, len(steps), restarts)]
     step[counts == 1] = 0.25
-    step[0] = 2.0
+    step[0] = 0.75
     count = order.top_coefficient - 1
     table = phase_table(angles, count)
     running = (rng.random(restarts) < 0.8) | (np.arange(restarts) == 0)
     cycle = starlike._cycle_layout(counts, running)
-    tw, ta, tt, skipped, columns = starlike._cycle_trials(cycle, step, weights, angles, table)
-    kept = np.ones(len(cycle.owner), dtype=bool)
-    kept[skipped] = False
+    tw, tt, moved, columns = starlike._cycle_trials(cycle, step, weights, angles, table)
     on_w, start = cycle.rank < 0, weights[cycle.owner]
     assert on_w.any() and (~on_w).any()
-    assert (tw[on_w & kept] == 0).sum() > (start[on_w & kept] == 0).sum()
-    assert skipped.tolist() == [1]  # restart 0's -step weight trial
-    assert kept.sum() == (4 * counts[running]).sum() - 1
-    assert (tt == phase_table(ta, count)).all()
+    assert (tw[on_w] == 0).sum() > (start[on_w] == 0).sum()
+    assert len(tw) == len(cycle.owner) == (4 * counts[running]).sum()
     turned = (~on_w).nonzero()[0]
+    ta = angles[cycle.owner]
+    delta = step[cycle.owner] * cycle.sign
+    assert (moved == ta[turned, cycle.column[turned]] + delta[turned]).all()
+    ta[turned, cycle.column[turned]] = moved[cycle.rank[turned]]
+    assert (tt == phase_table(ta, count)).all()
     assert (tt[cycle.column[turned], :, turned] == columns[:, cycle.rank[turned]].T).all()
     assert (table_values(tw, tt, order) == zalcman_values(tw, ta, order)).all()

@@ -9,7 +9,8 @@ pure function of (seed, i) under the counter-based stream of
 hands blocks of at most ``SAMPLE_BLOCK`` indices to one vectorised kernel:
 ``sample_batch`` and the moment kernel in one variable; ``mappings.spec_rows``,
 ``geometry.point_rows``/``sphere_rows``, the batched gauge and covector
-kernels and ``starlike.batch_coeffs`` in several.  A sample that lands
+kernels and ``starlike.batch_coeffs`` in several.  Every sampler takes
+(seed, indices) and reads the stream itself.  A sample that lands
 near the exceptional set draws its next attempt from further draw indices
 of its own stream, so it stays a pure function of (seed, i).  Bound campaigns
 (caratheodory, zalcman1d, ball, domain) track the raw functional value
@@ -106,8 +107,8 @@ class UsageError(ValueError):
 
 
 def subseed(seed: int, index: int) -> np.random.SeedSequence:
-    """Splittable per-sample seed for Generator-driven callers; independent
-    of evaluation order.  The campaigns themselves use the counter stream."""
+    """Splittable per-sample seed for Generator-driven callers outside the
+    package; every sampler of the package reads the counter stream."""
     return np.random.SeedSequence(entropy=(seed, index))
 
 
@@ -231,19 +232,12 @@ def _run_zalcman1d(cfg: CampaignConfig, space):
     return values, order.bound - values, witness, order.bound, None
 
 
-def _stream(seed: int, indices: np.ndarray):
-    """The uniform source (see ``geometry.sphere_rows``) of the given sample
-    indices under the counter-based stream."""
-    return lambda rows, start, count: uniforms(seed, indices[rows], count, start)
-
-
 def _lifted_rows(cfg: CampaignConfig, space: SpaceSpec, indices: np.ndarray):
     """(weights, covectors, points) of the given samples of ball, domain and
     reduction: the map from the first ``spec_draws`` draws of each sample,
     the point from the draws after them."""
-    draw = _stream(cfg.seed, indices)
-    lams, covs = spec_rows(space, draw, len(indices))
-    return lams, covs, point_rows(space, draw, len(indices), spec_draws(space))
+    lams, covs = spec_rows(space, cfg.seed, indices)
+    return lams, covs, point_rows(space, cfg.seed, indices, spec_draws(space))
 
 
 def _lifted_sample(cfg: CampaignConfig, space: SpaceSpec, i: int):
@@ -286,9 +280,8 @@ def _gradient_residuals(space: SpaceSpec, z: np.ndarray, theta: np.ndarray) -> n
 def _gradient_rows(cfg: CampaignConfig, space: SpaceSpec, indices: np.ndarray):
     """(z, residuals) of the given samples of the gradients campaign: the
     rotation angle from draw 0, the sphere point from the draws after it."""
-    draw = _stream(cfg.seed, indices)
-    theta = 2.0 * np.pi * draw(np.arange(len(indices)), 0, 1)[:, 0]
-    z = sphere_rows(space, draw, len(indices), 1, GRAD_MIN_GAP)
+    theta = 2.0 * np.pi * uniforms(cfg.seed, indices, 1)[:, 0]
+    z = sphere_rows(space, cfg.seed, indices, 1, GRAD_MIN_GAP)
     return z, _gradient_residuals(space, z, theta)
 
 

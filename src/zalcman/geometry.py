@@ -19,9 +19,9 @@ vector or an array of vectors along its last axis, such as the
 (rows, atoms, dim) covectors of a batch of lifted maps; the covector,
 gradient and finite-difference kernels take (rows, dim) arrays, and
 ``support_covector``, ``minkowski_gradient`` and ``wirtinger_fd_gradient``
-are batch-of-one calls into them.  The samplers turn uniforms into points,
-drawn either from the counter-based stream of ``herglotz.uniforms`` or
-from a numpy Generator, through the same transform.
+are batch-of-one calls into them.  The samplers turn the uniforms of the
+counter-based stream of ``herglotz.uniforms`` into points, so a row is a
+pure function of (seed, index).
 """
 
 from __future__ import annotations
@@ -30,6 +30,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .herglotz import uniforms
 
 # Points closer to E than this are rejected; samplers resample.
 EXC_EPS = 1e-8
@@ -328,19 +330,9 @@ def wirtinger_fd_gradient(space: SpaceSpec, z) -> Covector:
     return Covector(tuple(fd_gradient_rows(space, _as_vec(z)[None])[0].tolist()))
 
 
-# A uniform source for the samplers: draw(rows, start, count) returns the
-# uniforms in (0, 1] with draw indices start .. start + count - 1 of the
-# given rows of the batch, as a (len(rows), count) array.
-
-
-def rng_draws(rng: np.random.Generator):
-    """A uniform source reading ``rng`` in call order."""
-    return lambda rows, start, count: 1.0 - rng.random((len(rows), count))
-
-
 def gaussians(u: np.ndarray) -> np.ndarray:
     """Complex normals with standard normal real and imaginary parts, from
-    uniform pairs (u[..., 2k], u[..., 2k + 1]) in (0, 1] by Box-Muller."""
+    uniform pairs (u[..., 2k], u[..., 2k + 1]) in (0, 1) by Box-Muller."""
     radius = np.sqrt(-2.0 * np.log(u[..., 0::2]))
     angle = 2.0 * np.pi * u[..., 1::2]
     g = np.empty(radius.shape, dtype=complex)
@@ -357,21 +349,22 @@ def check_radii(rmin: float, rmax: float) -> None:
 
 
 def sphere_rows(
-    space: SpaceSpec, draw, rows: int, start: int = 0, min_gap: float = EXC_EPS
+    space: SpaceSpec, seed: int, indices, start: int = 0, min_gap: float = EXC_EPS
 ) -> np.ndarray:
-    """(rows, dim) points on the unit sphere of the gauge, at least min_gap
-    off E.
+    """(len(indices), dim) points on the unit sphere of the gauge, at least
+    min_gap off E, one per sample index of the counter stream of ``seed``.
 
     Attempt k of a row normalizes the complex Gaussian of its draws
     start + 2 dim k .. start + 2 dim (k + 1) - 1; a row that lands at the
     origin or within min_gap of E moves on to its next attempt, so each row
-    depends on its own draws alone.
+    depends on (seed, its index) alone.
     """
+    indices = np.asarray(indices)
     width = 2 * space.dim
-    out = np.empty((rows, space.dim), dtype=complex)
-    todo = np.arange(rows)
+    out = np.empty((len(indices), space.dim), dtype=complex)
+    todo = np.arange(len(indices))
     for attempt in range(SPHERE_ATTEMPTS):
-        g = gaussians(draw(todo, start + attempt * width, width))
+        g = gaussians(uniforms(seed, indices[todo], width, start + attempt * width))
         r = rho(space, g)
         with np.errstate(divide="ignore", invalid="ignore"):
             u = g / r[:, None]
@@ -388,26 +381,27 @@ def sphere_rows(
 
 def point_rows(
     space: SpaceSpec,
-    draw,
-    rows: int,
+    seed: int,
+    indices,
     start: int = 0,
     rmin: float = 0.05,
     rmax: float = 0.95,
     min_gap: float = EXC_EPS,
 ) -> np.ndarray:
-    """(rows, dim) points of the open unit ball with gauge in [rmin, rmax],
-    off E: the radius from draw ``start``, the direction from the draws
-    after it (see ``sphere_rows``)."""
+    """(len(indices), dim) points of the open unit ball with gauge in
+    [rmin, rmax], off E: the radius from draw ``start`` of each index, the
+    direction from the draws after it (see ``sphere_rows``)."""
     check_radii(rmin, rmax)
-    r = rmin + (rmax - rmin) * draw(np.arange(rows), start, 1)[:, 0]
+    r = rmin + (rmax - rmin) * uniforms(seed, indices, 1, start)[:, 0]
     # E is a cone, so scaling by r multiplies the gap by r; demanding
     # min_gap / rmin on the sphere keeps the scaled point min_gap off E.
-    return r[:, None] * sphere_rows(space, draw, rows, start + 1, min_gap / rmin)
+    return r[:, None] * sphere_rows(space, seed, indices, start + 1, min_gap / rmin)
 
 
 def sample_direction(space: SpaceSpec, rng: np.random.Generator, min_gap: float = EXC_EPS) -> np.ndarray:
-    """Random point on the unit sphere of the gauge, at least min_gap off E."""
-    return sphere_rows(space, rng_draws(rng), 1, min_gap=min_gap)[0]
+    """Random point on the unit sphere of the gauge, at least min_gap off E:
+    row 0 of ``sphere_rows`` under one seed taken from ``rng``."""
+    return sphere_rows(space, int(rng.integers(2**63)), [0], min_gap=min_gap)[0]
 
 
 def sample_point(
@@ -417,6 +411,7 @@ def sample_point(
     rmax: float = 0.95,
     min_gap: float = EXC_EPS,
 ) -> np.ndarray:
-    """Random point of the open unit ball with gauge in [rmin, rmax], off E;
-    requires 0 < rmin <= rmax < 1."""
-    return point_rows(space, rng_draws(rng), 1, rmin=rmin, rmax=rmax, min_gap=min_gap)[0]
+    """Random point of the open unit ball with gauge in [rmin, rmax], off E,
+    requiring 0 < rmin <= rmax < 1: row 0 of ``point_rows`` under one seed
+    taken from ``rng``."""
+    return point_rows(space, int(rng.integers(2**63)), [0], rmin=rmin, rmax=rmax, min_gap=min_gap)[0]

@@ -29,6 +29,8 @@ work on whole batches; ``hom_parts``, ``closed_form_values``,
 ``zalcman_nd`` (one ``FunctionalValues`` for both normalizations),
 ``functional_A``, ``functional_B``, ``restrict_h``, ``reduction_crosscheck``
 and ``sample_lifted_spec`` are batch-of-one calls into the same functions.
+The sampler and the scan's directions read ``herglotz.uniforms`` by
+(seed, indices), so each map or direction depends on its seed and index alone.
 """
 
 from __future__ import annotations
@@ -50,12 +52,11 @@ from .geometry import (
     norming_rows,
     pair,
     rho,
-    rng_draws,
     sphere_rows,
     support_covector,
     support_rows,
 )
-from .herglotz import atom_counts, check_weights, modulus, node_table, simplex_rows, table_moments
+from .herglotz import atom_counts, check_weights, modulus, node_table, simplex_rows, table_moments, uniforms
 from .series import TruncatedSeries
 from .starlike import ZalcmanOrder, batch_coeffs, batch_zalcman
 
@@ -71,6 +72,10 @@ MAX_HOM_DEGREE = 6
 # Atoms of a sampled map, and the least width of padded atom arrays, so a
 # replayed sample has the shape of its batch row.
 SPEC_ATOMS = 4
+
+# Scan direction d reads draws SCAN_DRAW_START on of index d of its seed: past
+# every draw of a campaign sample in fewer than 2**21 dimensions.
+SCAN_DRAW_START = 1 << 32
 
 RAY_ORDER = ZalcmanOrder(2, 3)  # |A2 A3 - A4| = |J_{2,3}| of the ray function g
 
@@ -373,18 +378,17 @@ def starlikeness_scan(
     at most 1.  A map with an atom above 1 + DUAL_NORM_TOL fails.
 
     The grid is a cross-check that also catches maps whose weights are off
-    the simplex: all ``grid.directions`` directions come from one
-    ``sphere_rows`` draw on a Generator seeded by (seed, 0x5CA9), every
-    b_k(z0) from one ``pair`` call, and h is evaluated one direction at a
+    the simplex: direction d is row d of one ``sphere_rows`` call on the
+    counter stream of ``seed`` from draw SCAN_DRAW_START, every b_k(z0)
+    from one ``pair`` call, and h is evaluated one direction at a
     time over the polar zeta-grid.  The first grid sample in (direction,
     radius, angle) order whose real part is not positive (NaN included) is
     the witness; if there is none and the dual norms fail the map, the
     witness is ``pole_witness``.  ``min_real`` is the least Re h over the
     grid and the witness, and ``samples`` counts the grid.
     """
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 0x5CA9)))
     lams, covs = _atom_arrays(spec)
-    directions = sphere_rows(space, rng_draws(rng), grid.directions)
+    directions = sphere_rows(space, seed, np.arange(grid.directions), SCAN_DRAW_START)
     x = pair(covs, directions[:, None, :])
     radii = np.geomspace(grid.rmin, grid.rmax, grid.radii)
     phases = np.exp(2j * np.pi * np.arange(grid.angles) / grid.angles)
@@ -470,22 +474,23 @@ def spec_draws(space: SpaceSpec) -> int:
     return 1 + SPEC_ATOMS * (2 + 2 * space.dim)
 
 
-def spec_rows(space: SpaceSpec, draw, rows: int, start: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """Random certified-starlike product maps on the given gauge, one per row.
+def spec_rows(space: SpaceSpec, seed: int, indices, start: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Random certified-starlike product maps on the given gauge, one per
+    sample index of the counter stream of ``seed``.
 
     Returns weights (rows, SPEC_ATOMS) and covectors (rows, SPEC_ATOMS, dim)
-    from the ``spec_draws`` uniforms of each row from draw ``start`` on
-    (``draw`` as in ``geometry.sphere_rows``): the ``herglotz.atom_counts``
+    from the ``spec_draws`` uniforms of each index from draw ``start`` on
+    (``herglotz.uniforms``): the ``herglotz.atom_counts``
     and ``simplex_rows`` of a measure, with each functional a complex
     Gaussian covector (Box-Muller) rescaled to a dual norm drawn from
     [0.25, 1], keeping the map holomorphic on the open unit ball of the
     gauge.  Atoms past the count are padding of weight 0 and covector 0, so
     a row's map is its atoms of positive weight: there are no counts.
     """
-    u = draw(np.arange(rows), start, spec_draws(space))
+    u = uniforms(seed, indices, spec_draws(space), start)
     lams, live = simplex_rows(u[:, 1 : 1 + SPEC_ATOMS], atom_counts(u[:, 0], SPEC_ATOMS))
     scales = 0.25 + 0.75 * u[:, 1 + SPEC_ATOMS : 1 + 2 * SPEC_ATOMS]
-    g = gaussians(u[:, 1 + 2 * SPEC_ATOMS :].reshape(rows, SPEC_ATOMS, 2 * space.dim))
+    g = gaussians(u[:, 1 + 2 * SPEC_ATOMS :].reshape(len(u), SPEC_ATOMS, 2 * space.dim))
     with np.errstate(divide="ignore", invalid="ignore"):
         covs = g * (scales / dual_norm(space, g))[:, :, None]
     covs = np.where(live[:, :, None], covs, 0.0)
@@ -494,7 +499,7 @@ def spec_rows(space: SpaceSpec, draw, rows: int, start: int = 0) -> tuple[np.nda
 
 
 def sample_lifted_spec(space: SpaceSpec, rng: np.random.Generator) -> LiftedMapSpec:
-    """Random certified-starlike product map on the given gauge: one row of
-    ``spec_rows`` with uniforms read from ``rng``."""
-    lams, covs = spec_rows(space, rng_draws(rng), 1)
+    """Random certified-starlike product map on the given gauge: row 0 of
+    ``spec_rows`` under one seed taken from ``rng``."""
+    lams, covs = spec_rows(space, int(rng.integers(2**63)), [0])
     return LiftedMapSpec.from_row(lams[0], covs[0])

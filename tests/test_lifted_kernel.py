@@ -113,7 +113,7 @@ def test_sampled_rows_lead_with_their_atoms_and_pad_with_weight_zero():
     indices = np.arange(10_000)
     space = space_of(config("ball", "l1", 3))
     weights, angles = sample_batch(7, indices)
-    lams, covs = spec_rows(space, campaigns._stream(7, indices), len(indices))
+    lams, covs = spec_rows(space, 7, indices)
     for w, width in ((weights, MAX_ATOMS), (lams, SPEC_ATOMS)):
         live = w > 0
         counts = live.sum(axis=1)

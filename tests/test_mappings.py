@@ -32,9 +32,11 @@ from zalcman.geometry import (
     pair,
     sample_direction,
     sample_point,
+    sphere_rows,
 )
 from zalcman.mappings import (
     DUAL_NORM_TOL,
+    SCAN_DRAW_START,
     ScanReport,
     ScanWitness,
     functional_A,
@@ -298,12 +300,12 @@ def test_scan_flags_the_overweight_spec():
 
 def pointwise_scan(space, spec, grid, seed):
     """(min Re h, first nonpositive (direction, zeta, h)) by scalar h_eval
-    calls in (direction, radius, angle) order, with the scan's directions."""
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 0x5CA9)))
+    calls in (direction, radius, angle) order, with the scan's directions
+    drawn one at a time."""
     radii = np.geomspace(grid.rmin, grid.rmax, grid.radii)
     min_real, first = math.inf, None
-    for _ in range(grid.directions):
-        z0 = sample_direction(space, rng)
+    for d in range(grid.directions):
+        z0 = sphere_rows(space, seed, [d], SCAN_DRAW_START)[0]
         for r in radii:
             for j in range(grid.angles):
                 zeta = complex(r * np.exp(2j * np.pi * j / grid.angles))
@@ -517,16 +519,15 @@ def test_a_nan_on_the_grid_is_the_witness(monkeypatch):
 
 def per_direction_scan(space, spec, grid, seed):
     """The scan as it was written before its directions were batched: one
-    ``sample_direction`` draw and one ``h_eval`` call per direction, with
-    the closed-form witness when the grid finds none."""
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 0x5CA9)))
+    direction drawn as a batch of one and one ``h_eval`` call per
+    direction, with the closed-form witness when the grid finds none."""
     radii = np.geomspace(grid.rmin, grid.rmax, grid.radii)
     phases = np.exp(2j * np.pi * np.arange(grid.angles) / grid.angles)
     zeta = (radii[:, None] * phases[None, :]).ravel()
     min_real = np.inf
     witness = None
-    for _ in range(grid.directions):
-        z0 = sample_direction(space, rng)
+    for d in range(grid.directions):
+        z0 = sphere_rows(space, seed, [d], SCAN_DRAW_START)[0]
         h = h_eval(spec, z0, zeta)
         min_real = np.minimum(min_real, h.real.min())
         bad = np.flatnonzero(~(h.real > 0.0))
@@ -542,8 +543,6 @@ def per_direction_scan(space, spec, grid, seed):
 
 @pytest.mark.parametrize("seed", range(10))
 def test_batched_scan_equals_the_per_direction_scan(seed):
-    # No draw is rejected on the Euclidean ball, so one batched draw gives
-    # the directions of the per-direction loop.
     valid = sample_lifted_spec(E2, np.random.default_rng(100 + seed))
     b = valid.atoms[0][1]
     invalid = single_atom(b.scale(1.5 / dual_norm(E2, b)).entries)
@@ -551,3 +550,30 @@ def test_batched_scan_equals_the_per_direction_scan(seed):
         rep = starlikeness_scan(E2, spec, seed=seed)
         assert rep == per_direction_scan(E2, spec, GridSpec(), seed)
         assert rep.passed == (spec is valid)
+
+
+def test_the_scan_reads_the_counter_stream_alone(monkeypatch):
+    # Direction d is row d of the counter stream of the seed: the scan builds
+    # no numpy Generator, and a smaller grid scans a prefix of the
+    # directions of a larger one.
+    valid = sample_lifted_spec(E2, np.random.default_rng(7))
+    b = valid.atoms[0][1]
+    invalid = single_atom(b.scale(1.5 / dual_norm(E2, b)).entries)
+    expected = [starlikeness_scan(E2, spec, seed=5) for spec in (valid, invalid)]
+
+    def no_generator(*args, **kwargs):
+        raise AssertionError("the scan built a numpy Generator")
+
+    drawn = []
+
+    def recorded(*args):
+        drawn.append(sphere_rows(*args))
+        return drawn[-1]
+
+    monkeypatch.setattr(np.random, "default_rng", no_generator)
+    monkeypatch.setattr(np.random, "SeedSequence", no_generator)
+    monkeypatch.setattr(mappings, "sphere_rows", recorded)
+    assert [starlikeness_scan(E2, spec, seed=5) for spec in (valid, invalid)] == expected
+    assert [rep.passed for rep in expected] == [True, False]
+    starlikeness_scan(E2, valid, GridSpec(directions=5), seed=5)
+    assert drawn[0].shape == (24, 2) and (drawn[-1] == drawn[0][:5]).all()

@@ -16,13 +16,14 @@ of its own stream, so it stays a pure function of (seed, i).  Bound campaigns
 (caratheodory, zalcman1d, ball, domain) track the raw functional value
 against its theorem bound; identity campaigns (gradients, reduction,
 sharpness) track residuals normalized by their per-check tolerance, so a
-margin below -tolerance always means a genuine defect regardless of
+margin below -TOLERANCE always means a genuine defect regardless of
 campaign kind.
 
 A runner returns the values and margins of all its rows plus a function
 that builds the witness of row i by replaying sample i.  The pass/fail
 gate lives in ``run_campaign`` alone: a row is a violation when its margin
-is not >= -tolerance, so a NaN margin always fails the report.
+is not >= -TOLERANCE, a fixed 1e-9 that no config changes, so a NaN margin
+always fails the report.
 """
 
 from __future__ import annotations
@@ -62,7 +63,8 @@ from .mappings import (
 )
 from .starlike import MAX_BUDGET, ZalcmanOrder, search_extremal, zalcman_values
 
-DEFAULT_TOLERANCE = 1e-9
+# A margin below -TOLERANCE is a violation.
+TOLERANCE = 1e-9
 
 # Version of the report contract.  2: the one-variable campaigns draw their
 # samples from the counter-based stream, and JSON reports carry this key.
@@ -121,7 +123,6 @@ class CampaignConfig:
     norm: str = "l2"
     order: tuple[int, int] = (2, 3)
     budget: int = 4000
-    tolerance: float = DEFAULT_TOLERANCE
 
 
 @dataclass(frozen=True)
@@ -130,7 +131,7 @@ class CampaignReport:
     float64 arrays with one entry per sample.
 
     ``violations`` holds serialized witnesses; it is nonempty exactly when
-    some margin is not >= -tolerance (a NaN margin included).
+    some margin is not >= -TOLERANCE (a NaN margin included).
     ``runtime_ms`` is wall-clock and is the one field not reproducible from
     the config.  Equality compares the aggregate fields and ``extras``
     only: two reports that differ only in their values or margins are
@@ -171,7 +172,8 @@ class CampaignReport:
 
 
 def space_of(cfg: CampaignConfig) -> SpaceSpec:
-    """SpaceSpec for the --norm token: l2, sup, l1, or lp:P."""
+    """SpaceSpec for the --norm token: l2, sup, l1, or lp:P; SpaceSpec
+    raises ValueError unless 1 < P < inf."""
     token = cfg.norm
     if token == "l2":
         return lp_space(cfg.dim, 2.0)
@@ -184,8 +186,6 @@ def space_of(cfg: CampaignConfig) -> SpaceSpec:
             p = float(token[3:])
         except ValueError as exc:
             raise UsageError(f"bad norm token {token!r}") from exc
-        if not 1.0 < p < float("inf"):
-            raise UsageError("lp norm needs 1 < p < inf")
         return lp_space(cfg.dim, p)
     raise UsageError(f"unknown norm {token!r} (expected l2, sup, l1, or lp:P)")
 
@@ -403,8 +403,6 @@ def _validate(cfg: CampaignConfig) -> SpaceSpec | None:
         raise UsageError("seed must be >= 0")
     if cfg.samples < 1:
         raise UsageError("samples must be >= 1")
-    if not (math.isfinite(cfg.tolerance) and cfg.tolerance > 0):
-        raise UsageError("tolerance must be finite and positive")
     if cfg.campaign in ("zalcman1d", "search"):
         try:
             ZalcmanOrder(*cfg.order)
@@ -451,7 +449,7 @@ def run_campaign(cfg: CampaignConfig) -> CampaignReport:
     values = np.asarray(values, dtype=float)
     margins = np.asarray(margins, dtype=float)
     values.flags.writeable = margins.flags.writeable = False
-    violations = [witness(int(i)) for i in violation_rows(margins, cfg.tolerance)]
+    violations = [witness(int(i)) for i in violation_rows(margins, TOLERANCE)]
     runtime_ms = int(round((time.perf_counter() - start) * 1000.0))
     return CampaignReport(
         campaign=cfg.campaign,

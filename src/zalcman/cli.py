@@ -5,14 +5,14 @@
     zalcman search --m 2 --n 3 --budget 20000 --format csv
 
 Exit status: 0 when the campaign finds no violations, 1 when it does,
-2 on a usage error.  ZALCMAN_SEED supplies the seed when --seed is absent.
+2 on a usage error.  A margin below -1e-9 (``campaigns.TOLERANCE``), or a
+NaN margin, is a violation; no option changes that gate.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import os
 import sys
 
 from .campaigns import (
@@ -25,20 +25,9 @@ from .campaigns import (
 
 VERIFY_CAMPAIGNS = tuple(c for c in CAMPAIGNS if c != "search")
 
-SEED_ENV = "ZALCMAN_SEED"
-
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--seed", type=int, default=None,
-                     help=f"campaign seed (default: ${SEED_ENV} or 0)")
-    sub.add_argument("--samples", type=int, default=None,
-                     help="number of sampled cases")
-    sub.add_argument("--dim", type=int, default=None,
-                     help="complex dimension for the several-variables campaigns")
-    sub.add_argument("--norm", default=None, metavar="{l2|sup|lp:P|l1}",
-                     help="gauge family of the ambient space")
-    sub.add_argument("--tolerance", type=float, default=None,
-                     help="violation threshold on the reported margin")
+    sub.add_argument("--seed", type=int, default=0, help="campaign seed (default 0)")
     sub.add_argument("--out", default=None, metavar="PATH",
                      help="write the report here instead of stdout")
     sub.add_argument("--format", choices=("json", "csv"), default="json",
@@ -62,6 +51,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     verify.add_argument("campaign", choices=VERIFY_CAMPAIGNS)
     _add_common(verify)
+    verify.add_argument("--samples", type=int, default=None,
+                        help="number of sampled cases")
+    verify.add_argument("--dim", type=int, default=None,
+                        help="complex dimension for the several-variables campaigns")
+    verify.add_argument("--norm", default=None, metavar="{l2|sup|lp:P|l1}",
+                        help="gauge family of the ambient space")
 
     search = commands.add_parser(
         "search", help="search for extremizers of |a_m a_n - a_{m+n-1}|"
@@ -72,30 +67,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_seed(cli_seed: int | None) -> int:
-    if cli_seed is not None:
-        return cli_seed
-    raw = os.environ.get(SEED_ENV)
-    if raw is None:
-        return 0
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise UsageError(f"{SEED_ENV} must be an integer, got {raw!r}") from exc
-
-
 def _config_from(args: argparse.Namespace) -> CampaignConfig:
     kwargs = {
         "campaign": args.campaign if args.command == "verify" else "search",
-        "seed": _resolve_seed(args.seed),
+        "seed": args.seed,
         "order": (args.m, args.n),
     }
-    for name in ("samples", "dim", "norm", "tolerance"):
-        value = getattr(args, name)
+    for name in ("samples", "dim", "norm", "budget"):
+        value = getattr(args, name, None)
         if value is not None:
             kwargs[name] = value
-    if getattr(args, "budget", None) is not None:
-        kwargs["budget"] = args.budget
     return CampaignConfig(**kwargs)
 
 

@@ -41,6 +41,10 @@ SPHERE_ATTEMPTS = 1000
 
 DIRECTION_TOL = 1e-12
 
+# Sampled points have gauge radius in [POINT_RMIN, POINT_RMAX], inside the
+# open unit ball.
+POINT_RMIN, POINT_RMAX = 0.05, 0.95
+
 _FLOAT_TINY = np.finfo(float).tiny
 
 
@@ -341,13 +345,6 @@ def gaussians(u: np.ndarray) -> np.ndarray:
     return g
 
 
-def check_radii(rmin: float, rmax: float) -> None:
-    """Gauge radii of sampled points must satisfy 0 < rmin <= rmax < 1, so
-    that the points lie in the open unit ball (NaN and inf fail too)."""
-    if not 0.0 < rmin <= rmax < 1.0:
-        raise ValueError(f"need 0 < rmin <= rmax < 1, got rmin={rmin}, rmax={rmax}")
-
-
 def sphere_rows(
     space: SpaceSpec, seed: int, indices, start: int = 0, min_gap: float = EXC_EPS
 ) -> np.ndarray:
@@ -380,22 +377,15 @@ def sphere_rows(
 
 
 def point_rows(
-    space: SpaceSpec,
-    seed: int,
-    indices,
-    start: int = 0,
-    rmin: float = 0.05,
-    rmax: float = 0.95,
-    min_gap: float = EXC_EPS,
+    space: SpaceSpec, seed: int, indices, start: int = 0, min_gap: float = EXC_EPS
 ) -> np.ndarray:
     """(len(indices), dim) points of the open unit ball with gauge in
-    [rmin, rmax], off E: the radius from draw ``start`` of each index, the
-    direction from the draws after it (see ``sphere_rows``)."""
-    check_radii(rmin, rmax)
-    r = rmin + (rmax - rmin) * uniforms(seed, indices, 1, start)[:, 0]
+    [POINT_RMIN, POINT_RMAX], off E: the radius from draw ``start`` of each
+    index, the direction from the draws after it (see ``sphere_rows``)."""
+    r = POINT_RMIN + (POINT_RMAX - POINT_RMIN) * uniforms(seed, indices, 1, start)[:, 0]
     # E is a cone, so scaling by r multiplies the gap by r; demanding
-    # min_gap / rmin on the sphere keeps the scaled point min_gap off E.
-    return r[:, None] * sphere_rows(space, seed, indices, start + 1, min_gap / rmin)
+    # min_gap / POINT_RMIN on the sphere keeps the scaled point min_gap off E.
+    return r[:, None] * sphere_rows(space, seed, indices, start + 1, min_gap / POINT_RMIN)
 
 
 def sample_direction(space: SpaceSpec, rng: np.random.Generator, min_gap: float = EXC_EPS) -> np.ndarray:
@@ -404,14 +394,8 @@ def sample_direction(space: SpaceSpec, rng: np.random.Generator, min_gap: float 
     return sphere_rows(space, int(rng.integers(2**63)), [0], min_gap=min_gap)[0]
 
 
-def sample_point(
-    space: SpaceSpec,
-    rng: np.random.Generator,
-    rmin: float = 0.05,
-    rmax: float = 0.95,
-    min_gap: float = EXC_EPS,
-) -> np.ndarray:
-    """Random point of the open unit ball with gauge in [rmin, rmax], off E,
-    requiring 0 < rmin <= rmax < 1: row 0 of ``point_rows`` under one seed
-    taken from ``rng``."""
-    return point_rows(space, int(rng.integers(2**63)), [0], rmin=rmin, rmax=rmax, min_gap=min_gap)[0]
+def sample_point(space: SpaceSpec, rng: np.random.Generator, min_gap: float = EXC_EPS) -> np.ndarray:
+    """Random point of the open unit ball with gauge in [POINT_RMIN,
+    POINT_RMAX], off E: row 0 of ``point_rows`` under one seed taken from
+    ``rng``."""
+    return point_rows(space, int(rng.integers(2**63)), [0], min_gap=min_gap)[0]

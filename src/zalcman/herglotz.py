@@ -157,14 +157,12 @@ def batch_moments(weights: np.ndarray, angles: np.ndarray, count: int) -> np.nda
     return table_moments(weights, phase_table(angles, count))
 
 
-def batch_margins(
-    weights: np.ndarray, angles: np.ndarray, order: int = DEFAULT_ORDER
-) -> np.ndarray:
+def batch_margins(weights: np.ndarray, angles: np.ndarray) -> np.ndarray:
     """(rows, 3) array of the margins m1, m2, m3 (see CaratheodoryMargins),
-    with m1 taken over p_1..p_order.  A NaN input gives NaN margins."""
-    p = batch_moments(weights, angles, max(order, 3)).T
+    with m1 taken over p_1..p_DEFAULT_ORDER.  A NaN input gives NaN margins."""
+    p = batch_moments(weights, angles, DEFAULT_ORDER).T
     margins = np.empty((3, p.shape[1]))
-    margins[0] = 2.0 - modulus(p[:order]).max(axis=0)
+    margins[0] = 2.0 - modulus(p).max(axis=0)
     margins[1] = 2.0 - modulus(p[1] - p[0] * p[0])
     margins[2] = 2.0 - modulus(p[2] - p[0] * p[1])
     return margins.T
@@ -212,10 +210,10 @@ class HerglotzMeasure:
             raise ValueError("coefficients are indexed from 1")
         return complex(batch_moments(*self.padded(), n)[0, -1])
 
-    def margins(self, order: int = DEFAULT_ORDER) -> CaratheodoryMargins:
+    def margins(self) -> CaratheodoryMargins:
         """Margins of the coefficient inequalities |p_n| <= 2,
         |p_2 - p_1^2| <= 2 and |p_3 - p_1 p_2| <= 2."""
-        return CaratheodoryMargins(*batch_margins(*self.padded(), order)[0].tolist())
+        return CaratheodoryMargins(*batch_margins(*self.padded())[0].tolist())
 
     def to_json(self) -> dict:
         return {"atoms": [[w, t] for w, t in self.atoms]}

@@ -46,7 +46,6 @@ from .geometry import (
     SpaceSpec,
     DIRECTION_TOL,
     check_off_exceptional,
-    check_radii,
     dual_norm,
     gaussians,
     norming_rows,
@@ -304,7 +303,9 @@ class GridSpec:
     def __post_init__(self):
         if min(self.directions, self.radii, self.angles) < 1:
             raise ValueError("grid sizes must be >= 1")
-        check_radii(self.rmin, self.rmax)
+        # NaN and inf radii fail this chain too.
+        if not 0.0 < self.rmin <= self.rmax < 1.0:
+            raise ValueError(f"need 0 < rmin <= rmax < 1, got rmin={self.rmin}, rmax={self.rmax}")
 
 
 @dataclass(frozen=True)

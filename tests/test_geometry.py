@@ -17,6 +17,8 @@ from zalcman.geometry import (
     pair,
     rho,
     sample_direction,
+    POINT_RMAX,
+    POINT_RMIN,
     sample_point,
     sup_space,
     support_covector,
@@ -190,24 +192,22 @@ def test_samplers_respect_their_contracts(space):
         u = sample_direction(space, rng, min_gap=1e-2)
         assert abs(rho(space, u) - 1.0) < 1e-12
         assert exceptional_distance(space, u) >= 1e-2
-        z = sample_point(space, rng, rmin=0.1, rmax=0.8, min_gap=1e-3)
+        z = sample_point(space, rng, min_gap=1e-3)
         r = rho(space, z)
-        assert 0.1 - 1e-12 <= r <= 0.8 + 1e-12
+        assert POINT_RMIN - 1e-12 <= r <= POINT_RMAX + 1e-12
         assert exceptional_distance(space, z) >= 1e-3 - 1e-12
 
 
 def test_sample_point_validates_radii():
-    with pytest.raises(ValueError):
-        sample_point(euclidean(2), np.random.default_rng(0), rmin=0.0)
-    with pytest.raises(ValueError):
-        sample_point(euclidean(2), np.random.default_rng(0), rmin=0.5, rmax=0.2)
-    # Points must stay in the open unit ball: rmax < 1, all radii finite.
-    for rmin, rmax in ((1.2, 1.4), (0.5, 1.0), (0.5, math.inf), (math.nan, 0.5),
-                       (0.5, math.nan), (-math.inf, 0.5)):
-        with pytest.raises(ValueError):
-            sample_point(euclidean(2), np.random.default_rng(0), rmin=rmin, rmax=rmax)
-    z = sample_point(euclidean(2), np.random.default_rng(0), rmin=0.9, rmax=0.999)
-    assert 0.9 <= rho(euclidean(2), z) <= 0.999
+    # The radius band is fixed, finite and inside the open unit ball; the
+    # old per-call radius keywords are gone rather than silently ignored.
+    assert 0.0 < POINT_RMIN < POINT_RMAX < 1.0
+    for kwargs in ({"rmin": 0.1}, {"rmax": 0.8}, {"rmin": 0.9, "rmax": 0.999}):
+        with pytest.raises(TypeError):
+            sample_point(euclidean(2), np.random.default_rng(0), **kwargs)
+    rng = np.random.default_rng(0)
+    radii = [rho(euclidean(2), sample_point(euclidean(2), rng)) for _ in range(50)]
+    assert all(POINT_RMIN - 1e-12 <= r <= POINT_RMAX + 1e-12 for r in radii)
 
 
 DUAL_PAIRS = [

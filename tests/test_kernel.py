@@ -18,6 +18,7 @@ from zalcman import (
     run_campaign,
     zalcman_J,
 )
+from zalcman import campaigns
 from zalcman.campaigns import SAMPLE_BLOCK, _walk, violation_rows
 from zalcman.herglotz import (
     DEFAULT_ORDER,
@@ -49,10 +50,11 @@ def test_batch_rows_equal_their_batch_of_one_replay():
         assert [abs(zalcman_J(replay, o)) for o in ORDERS] == values[i].tolist()
 
 
-def test_caratheodory_witnesses_replay_exactly():
+def test_caratheodory_witnesses_replay_exactly(monkeypatch):
     # Margins at the sharp edge sit a few ulps below zero, so this
     # tolerance flags them; each witness must reproduce its margins.
-    rep = run_campaign(CampaignConfig("caratheodory", seed=7, samples=200, tolerance=1e-16))
+    monkeypatch.setattr(campaigns, "TOLERANCE", 1e-16)
+    rep = run_campaign(CampaignConfig("caratheodory", seed=7, samples=200))
     assert rep.violations
     for witness in rep.violations:
         mu = HerglotzMeasure.from_json(witness["measure"])
@@ -73,9 +75,10 @@ def test_blocks_concatenate_to_one_batch():
     assert np.array_equal(walked, np.concatenate(sample_batch(12, np.arange(samples)), axis=1))
 
 
-def test_witnesses_past_the_first_block_carry_their_own_index():
+def test_witnesses_past_the_first_block_carry_their_own_index(monkeypatch):
     samples = SAMPLE_BLOCK + 300
-    rep = run_campaign(CampaignConfig("caratheodory", seed=7, samples=samples, tolerance=1e-16))
+    monkeypatch.setattr(campaigns, "TOLERANCE", 1e-16)
+    rep = run_campaign(CampaignConfig("caratheodory", seed=7, samples=samples))
     assert rep.samples == samples
     late = [w for w in rep.violations if w["index"] >= SAMPLE_BLOCK]
     assert late

@@ -199,7 +199,7 @@ def test_witnesses_past_the_first_block_carry_their_own_index(monkeypatch):
         cfg = config(campaign, "sup", 3, samples=30)
         space = space_of(cfg)
         rep = run_campaign(cfg)
-        flagged = [i for i, margin in enumerate(rep.margins.tolist()) if not margin >= -cfg.tolerance]
+        flagged = [i for i, margin in enumerate(rep.margins.tolist()) if not margin >= -campaigns.TOLERANCE]
         assert [w["index"] for w in rep.violations] == flagged
         assert len([i for i in flagged if i >= 8]) >= 15
         if campaign == "gradients":

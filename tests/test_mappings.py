@@ -346,8 +346,9 @@ def test_scan_of_the_trivial_spec_is_flat():
 def test_grid_spec_validation():
     with pytest.raises(ValueError):
         GridSpec(directions=0)
-    # The zeta-grid must lie in the open unit disk.
-    for rmin, rmax in ((0.05, 1.5), (0.05, 1.0), (0.0, 0.5), (0.6, 0.5), (math.nan, 0.5)):
+    # The zeta-grid must lie in the open unit disk, with finite radii.
+    for rmin, rmax in ((0.05, 1.5), (0.05, 1.0), (0.0, 0.5), (0.6, 0.5), (math.nan, 0.5),
+                       (1.2, 1.4), (0.5, math.inf), (0.5, math.nan), (-math.inf, 0.5)):
         with pytest.raises(ValueError):
             GridSpec(rmin=rmin, rmax=rmax)
 

@@ -15,6 +15,7 @@ import pytest
 
 from zalcman import ZalcmanOrder
 from zalcman.herglotz import (
+    DEFAULT_ORDER,
     MAX_ATOMS,
     atom_rows,
     batch_margins,
@@ -45,10 +46,10 @@ def reference_moments(weights, angles, count):
     return p
 
 
-def reference_margins(weights, angles, order=MAX_COEFF_ORDER):
-    p = reference_moments(weights, angles, max(order, 3))
+def reference_margins(weights, angles):
+    p = reference_moments(weights, angles, DEFAULT_ORDER)
     margins = np.empty((len(p), 3))
-    margins[:, 0] = 2.0 - modulus(p[:, :order]).max(axis=1)
+    margins[:, 0] = 2.0 - modulus(p).max(axis=1)
     margins[:, 1] = 2.0 - modulus(p[:, 1] - p[:, 0] * p[:, 0])
     margins[:, 2] = 2.0 - modulus(p[:, 2] - p[:, 0] * p[:, 1])
     return margins
@@ -89,10 +90,9 @@ def test_moments_margins_and_coefficients_equal_numpy_reductions(rows, seed):
         p = batch_moments(weights, angles, count)
         assert p.shape == (len(weights), count)
         assert (p == reference_moments(weights, angles, count)).all()
-    for order in range(1, MAX_COEFF_ORDER + 1):
-        margins = batch_margins(weights, angles, order)
-        assert margins.shape == (len(weights), 3)
-        assert (margins == reference_margins(weights, angles, order)).all()
+    margins = batch_margins(weights, angles)
+    assert margins.shape == (len(weights), 3)
+    assert (margins == reference_margins(weights, angles)).all()
     p = reference_moments(weights, angles, MAX_COEFF_ORDER - 1)
     for order in range(1, MAX_COEFF_ORDER + 1):
         a = batch_coeffs(batch_moments(weights, angles, MAX_COEFF_ORDER - 1), order)

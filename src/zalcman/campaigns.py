@@ -78,7 +78,9 @@ TOLERANCE = 1e-9
 # sin per atom, so caratheodory, zalcman1d and search values move by ulps.
 # 7: the lifted moments are the 1-D table kernel at the lifted nodes, so
 # ball, domain, reduction and sharpness values move by ulps.
-REPORT_VERSION = 7
+# 8: JSON reports carry ``config``, the settings their campaign reads; the
+# search's order and budget move there from ``extras``.
+REPORT_VERSION = 8
 
 # Per-check residual tolerances for the identity campaigns; margins are
 # reported as 1 - residual/tolerance so the pass criterion is uniform.
@@ -100,8 +102,6 @@ SAMPLE_BLOCK = 10_000
 # A several-variables block holds at most this many rows x dim, so its
 # atom arrays stay a few MB whatever the dimension.
 LIFTED_BLOCK_ENTRIES = 50_000
-
-_ND_CAMPAIGNS = frozenset(("ball", "domain", "gradients", "reduction", "sharpness"))
 
 
 class UsageError(ValueError):
@@ -130,16 +130,18 @@ class CampaignReport:
     """Aggregate outcome plus the values and margins arrays: read-only
     float64 arrays with one entry per sample.
 
+    ``config`` maps each setting the campaign read to its value.
     ``violations`` holds serialized witnesses; it is nonempty exactly when
     some margin is not >= -TOLERANCE (a NaN margin included).
     ``runtime_ms`` is wall-clock and is the one field not reproducible from
-    the config.  Equality compares the aggregate fields and ``extras``
-    only: two reports that differ only in their values or margins are
+    the config.  Equality compares the aggregate fields, ``config`` and
+    ``extras`` only: two reports that differ only in their values or margins are
     equal.
     """
 
     campaign: str
     seed: int
+    config: dict
     samples: int
     max_value: float
     bound: float
@@ -159,6 +161,7 @@ class CampaignReport:
             "version": REPORT_VERSION,
             "campaign": self.campaign,
             "seed": self.seed,
+            "config": self.config,
             "samples": self.samples,
             "max_value": self.max_value,
             "bound": self.bound,
@@ -296,6 +299,7 @@ def _run_gradients(cfg: CampaignConfig, space: SpaceSpec):
     """Euler identity, scale/phase covariance, and the finite-difference
     cross-check of the gauge gradient, on sphere points well off E (the
     FD stencil needs quantitative smoothness, not just z not in E)."""
+    _check_gap_reachable(space, GRAD_MIN_GAP)
     values = _walk(cfg, space, lambda idx: _gradient_rows(cfg, space, idx)[1].max(axis=1))
 
     def witness(i):
@@ -373,54 +377,48 @@ def _run_search(cfg: CampaignConfig, _space):
     def witness(i):
         return {"index": i, "measure": result.measure.to_json(), "value": result.value}
 
-    extras = {
-        "order": list(cfg.order),
-        "budget": cfg.budget,
-        "evaluations": result.evaluations,
-        "best_measure": result.measure.to_json(),
-    }
+    extras = {"evaluations": result.evaluations, "best_measure": result.measure.to_json()}
     return [result.value], [order.bound - result.value], witness, order.bound, extras
 
 
-_RUNNERS = {
-    "caratheodory": _run_caratheodory,
-    "zalcman1d": _run_zalcman1d,
-    "ball": _run_lifted_bound,
-    "domain": _run_lifted_bound,
-    "gradients": _run_gradients,
-    "reduction": _run_reduction,
-    "sharpness": _run_sharpness,
-    "search": _run_search,
+# Every campaign: its runner and the CampaignConfig settings it reads.
+CAMPAIGNS = {
+    "caratheodory": (_run_caratheodory, ("samples",)),
+    "zalcman1d": (_run_zalcman1d, ("samples", "order")),
+    "ball": (_run_lifted_bound, ("samples", "dim", "norm")),
+    "domain": (_run_lifted_bound, ("samples", "dim", "norm")),
+    "gradients": (_run_gradients, ("samples", "dim", "norm")),
+    "reduction": (_run_reduction, ("samples", "dim", "norm")),
+    "sharpness": (_run_sharpness, ("dim", "norm")),
+    "search": (_run_search, ("order", "budget")),
 }
-
-CAMPAIGNS = tuple(_RUNNERS)
 
 
 def _validate(cfg: CampaignConfig) -> SpaceSpec | None:
-    if cfg.campaign not in _RUNNERS:
+    """Check the seed and each setting the campaign reads; the gauge when
+    it reads one."""
+    if cfg.campaign not in CAMPAIGNS:
         raise UsageError(f"unknown campaign {cfg.campaign!r}")
+    settings = CAMPAIGNS[cfg.campaign][1]
     if cfg.seed < 0:
         raise UsageError("seed must be >= 0")
-    if cfg.samples < 1:
+    if "samples" in settings and cfg.samples < 1:
         raise UsageError("samples must be >= 1")
-    if cfg.campaign in ("zalcman1d", "search"):
+    if "order" in settings:
         try:
             ZalcmanOrder(*cfg.order)
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
-    if cfg.campaign == "search" and not 0 <= cfg.budget <= MAX_BUDGET:
+    if "budget" in settings and not 0 <= cfg.budget <= MAX_BUDGET:
         raise UsageError(f"budget must be between 0 and {MAX_BUDGET}")
-    if cfg.campaign in _ND_CAMPAIGNS:
-        if cfg.dim < 2:
-            raise UsageError(f"campaign {cfg.campaign!r} needs dim >= 2")
-        try:
-            space = space_of(cfg)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
-        if cfg.campaign == "gradients":
-            _check_gap_reachable(space, GRAD_MIN_GAP)
-        return space
-    return None
+    if "dim" in settings and cfg.dim < 2:
+        raise UsageError(f"campaign {cfg.campaign!r} needs dim >= 2")
+    if "norm" not in settings:
+        return None
+    try:
+        return space_of(cfg)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _check_gap_reachable(space: SpaceSpec, gap: float) -> None:
@@ -441,9 +439,10 @@ def run_campaign(cfg: CampaignConfig) -> CampaignReport:
     """Execute the configured campaign; the report (runtime aside) is a
     pure function of the config."""
     space = _validate(cfg)
+    runner, settings = CAMPAIGNS[cfg.campaign]
     start = time.perf_counter()
     try:
-        values, margins, witness, bound, extras = _RUNNERS[cfg.campaign](cfg, space)
+        values, margins, witness, bound, extras = runner(cfg, space)
     except SamplingError as exc:
         raise UsageError(f"{exc}; lower --dim") from exc
     values = np.asarray(values, dtype=float)
@@ -454,6 +453,7 @@ def run_campaign(cfg: CampaignConfig) -> CampaignReport:
     return CampaignReport(
         campaign=cfg.campaign,
         seed=cfg.seed,
+        config={name: getattr(cfg, name) for name in settings},
         samples=len(values),
         max_value=float(values.max()),
         bound=bound,

@@ -4,9 +4,11 @@
     zalcman verify ball --dim 3 --norm lp:3 --out report.json
     zalcman search --m 2 --n 3 --budget 20000 --format csv
 
-Exit status: 0 when the campaign finds no violations, 1 when it does,
-2 on a usage error.  A margin below -1e-9 (``campaigns.TOLERANCE``), or a
-NaN margin, is a violation; no option changes that gate.
+Each campaign takes ``--seed``, ``--out`` and ``--format`` plus a flag for
+each setting it reads (``campaigns.CAMPAIGNS``); any other flag is a usage
+error.  Exit status: 0 when the campaign finds no violations, 1 when it
+does, 2 on a usage error.  A margin below -1e-9 (``campaigns.TOLERANCE``),
+or a NaN margin, is a violation; no option changes that gate.
 """
 
 from __future__ import annotations
@@ -23,17 +25,37 @@ from .campaigns import (
     run_campaign,
 )
 
-VERIFY_CAMPAIGNS = tuple(c for c in CAMPAIGNS if c != "search")
+_DEFAULTS = CampaignConfig("")
+
+# The flags of each setting as (flag, help, default); order takes two.
+_FLAGS = {
+    "samples": (("--samples", "number of sampled cases", _DEFAULTS.samples),),
+    "dim": (("--dim", "complex dimension of the ambient space", _DEFAULTS.dim),),
+    "norm": (("--norm", "gauge family: l2, sup, lp:P or l1", _DEFAULTS.norm),),
+    "order": (
+        ("--m", "first coefficient index", _DEFAULTS.order[0]),
+        ("--n", "second coefficient index", _DEFAULTS.order[1]),
+    ),
+    "budget": (("--budget", "refinement evaluation budget", _DEFAULTS.budget),),
+}
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
+def _add_campaign(commands, name: str, summary: str) -> None:
+    sub = commands.add_parser(name, help=summary)
+    sub.set_defaults(campaign=name)
     sub.add_argument("--seed", type=int, default=0, help="campaign seed (default 0)")
     sub.add_argument("--out", default=None, metavar="PATH",
                      help="write the report here instead of stdout")
     sub.add_argument("--format", choices=("json", "csv"), default="json",
                      help="report format (default json)")
-    sub.add_argument("--m", type=int, default=2, help="first coefficient index")
-    sub.add_argument("--n", type=int, default=3, help="second coefficient index")
+    for setting in CAMPAIGNS[name][1]:
+        for flag, text, default in _FLAGS[setting]:
+            sub.add_argument(flag, type=type(default), default=default,
+                             help=f"{text} (default {default})")
+    if name == "sharpness":
+        # Its two checks are fixed; --samples 2 stays accepted only until
+        # ROADMAP item 1 drops it from the benchmark's command lines.
+        sub.add_argument("--samples", type=int, choices=(2,), help="its number of checks")
 
 
 @functools.cache
@@ -45,39 +67,20 @@ def build_parser() -> argparse.ArgumentParser:
         "for starlike functions and their lifts to several variables.",
     )
     commands = parser.add_subparsers(dest="command", required=True)
-
-    verify = commands.add_parser(
-        "verify", help="run a seeded verification campaign"
-    )
-    verify.add_argument("campaign", choices=VERIFY_CAMPAIGNS)
-    _add_common(verify)
-    verify.add_argument("--samples", type=int, default=None,
-                        help="number of sampled cases")
-    verify.add_argument("--dim", type=int, default=None,
-                        help="complex dimension for the several-variables campaigns")
-    verify.add_argument("--norm", default=None, metavar="{l2|sup|lp:P|l1}",
-                        help="gauge family of the ambient space")
-
-    search = commands.add_parser(
-        "search", help="search for extremizers of |a_m a_n - a_{m+n-1}|"
-    )
-    _add_common(search)
-    search.add_argument("--budget", type=int, default=None,
-                        help="refinement evaluation budget")
+    verify = commands.add_parser("verify", help="run a seeded verification campaign")
+    campaigns = verify.add_subparsers(dest="campaign", required=True)
+    for name in CAMPAIGNS:
+        if name != "search":
+            _add_campaign(campaigns, name, f"the {name} campaign")
+    _add_campaign(commands, "search", "search for extremizers of |a_m a_n - a_{m+n-1}|")
     return parser
 
 
 def _config_from(args: argparse.Namespace) -> CampaignConfig:
-    kwargs = {
-        "campaign": args.campaign if args.command == "verify" else "search",
-        "seed": args.seed,
-        "order": (args.m, args.n),
-    }
-    for name in ("samples", "dim", "norm", "budget"):
-        value = getattr(args, name, None)
-        if value is not None:
-            kwargs[name] = value
-    return CampaignConfig(**kwargs)
+    """The seed and the settings the campaign reads, from the parsed flags."""
+    given = dict(vars(args), order=(getattr(args, "m", None), getattr(args, "n", None)))
+    settings = {name: given[name] for name in CAMPAIGNS[args.campaign][1]}
+    return CampaignConfig(args.campaign, args.seed, **settings)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -86,10 +89,7 @@ def main(argv: list[str] | None = None) -> int:
         cfg = _config_from(args)
         report = run_campaign(cfg)
         emit_report(report, args.format, args.out)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     status = "PASS" if report.passed else "FAIL"

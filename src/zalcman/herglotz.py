@@ -44,6 +44,10 @@ SAMPLE_DRAWS = 1 + 2 * MAX_ATOMS
 # the sample.  Every uniform is a pure function of (seed, index, draw).
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _WORD = (1 << 64) - 1
+# The output function's multipliers and shifts, as uint64 so that numpy
+# converts no Python int on each call.
+_MIX1, _MIX2 = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
+_SHIFT1, _SHIFT2, _SHIFT3 = np.uint64(30), np.uint64(27), np.uint64(31)
 
 
 class CaratheodoryMargins(NamedTuple):
@@ -225,9 +229,9 @@ class HerglotzMeasure:
 
 def _mix64(z: np.ndarray) -> np.ndarray:
     """SplitMix64 output function on a uint64 array (wrapping arithmetic)."""
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-    return z ^ (z >> 31)
+    z = (z ^ (z >> _SHIFT1)) * _MIX1
+    z = (z ^ (z >> _SHIFT2)) * _MIX2
+    return z ^ (z >> _SHIFT3)
 
 
 def _stream_key(seed: int) -> np.ndarray:

@@ -1,5 +1,7 @@
 """Shared hypothesis strategies and small helpers for the test suite."""
 
+import argparse
+
 import numpy as np
 from hypothesis import strategies as st
 
@@ -81,3 +83,17 @@ def lifted_specs(space, max_atoms: int = 3) -> st.SearchStrategy[LiftedMapSpec]:
             )
         ),
     )
+
+
+def command_flags(parser: argparse.ArgumentParser, words: tuple = ()) -> dict[str, set[str]]:
+    """{command line words, such as "verify ball": its long options but
+    --help} for every leaf command of the parser."""
+    subparsers = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subparsers:
+        options = (flag for action in parser._actions for flag in action.option_strings)
+        return {" ".join(words): {f for f in options if f.startswith("--") and f != "--help"}}
+    return {
+        command: flags
+        for name, sub in subparsers[0].choices.items()
+        for command, flags in command_flags(sub, (*words, name)).items()
+    }

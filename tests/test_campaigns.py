@@ -25,6 +25,8 @@ from zalcman import campaigns, mappings
 from zalcman.campaigns import REPORT_VERSION, SAMPLE_BLOCK, emit_report, space_of, subseed
 from zalcman.cli import build_parser, main
 
+from support import command_flags
+
 
 def small(campaign, **kw):
     defaults = dict(campaign=campaign, seed=3, samples=50)
@@ -159,6 +161,7 @@ def test_json_rendering_is_deterministic_and_roundtrips():
         "version",
         "campaign",
         "seed",
+        "config",
         "samples",
         "max_value",
         "bound",
@@ -173,7 +176,7 @@ def test_json_rendering_is_deterministic_and_roundtrips():
 @pytest.mark.parametrize(
     "order,seed,budget,fmt,digest",
     [
-        ((2, 3), 0, 20000, "json", "38262960d08c6d5547ae8889ad5d2d6d1c5254cfe442cdb151a914fc50360f50"),
+        ((2, 3), 0, 20000, "json", "f06a9f80b52dafd34328ae943f7a55d1ee679260988b4338375ad4a971e7ab19"),
         ((4, 4), 1, 1500, "csv", "6c0be1590a8589091cf75cb79e577dfab36e2318facdf19f514c1620856c4a4f"),
     ],
     ids=["23-json", "44-csv"],
@@ -194,6 +197,9 @@ def test_violation_witness_survives_the_json_roundtrip(monkeypatch):
     first = obj["violations"][0]
     mu = HerglotzMeasure.from_json(first["measure"])
     assert mu == HerglotzMeasure.from_json(rep.violations[0]["measure"])
+    # The report alone replays the witness: its order comes from config.
+    order = ZalcmanOrder(*obj["config"]["order"])
+    assert abs(zalcman_J(coeffs_from_p(mu, order=order.top_coefficient), order)) == first["value"]
 
 
 def test_csv_rendering_has_sample_rows_and_aggregate_footer():
@@ -267,11 +273,16 @@ def test_cli_usage_errors_exit_with_two(capsys):
         ["search", "--samples", "5"],
         ["search", "--dim", "3"],
         ["search", "--norm", "sup"],
+        ["verify", "caratheodory", "--m", "5", "--n", "3"],
+        ["verify", "ball", "--m", "9", "--n", "1"],
+        ["verify", "zalcman1d", "--dim", "1", "--norm", "lp:nan"],
+        ["verify", "sharpness", "--samples", "999"],
     ],
-    ids=["tolerance", "tolerance-nan", "search-samples", "search-dim", "search-norm"],
+    ids=["tolerance", "tolerance-nan", "search-samples", "search-dim", "search-norm",
+         "caratheodory-order", "ball-order", "zalcman1d-gauge", "sharpness-samples"],
 )
 def test_cli_rejects_a_gate_flag_and_flags_search_ignores(argv, capsys):
-    # No flag can loosen the gate, and search takes no flag it would ignore.
+    # No flag can loosen the gate, and no campaign takes a flag it would ignore.
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
@@ -384,10 +395,11 @@ NAN_CASES = [
 
 
 def _argv(cfg):
-    if cfg.campaign == "search":
-        return ["search", "--seed", str(cfg.seed), "--budget", str(cfg.budget)]
-    return ["verify", cfg.campaign, "--seed", str(cfg.seed), "--samples", str(cfg.samples),
-            "--dim", str(cfg.dim), "--norm", cfg.norm]
+    """The command line of a config whose order is the default one."""
+    head = ["search"] if cfg.campaign == "search" else ["verify", cfg.campaign]
+    flags = [[f"--{name}", str(getattr(cfg, name))] for name in campaigns.CAMPAIGNS[cfg.campaign][1]
+             if name != "order"]
+    return head + ["--seed", str(cfg.seed)] + sum(flags, [])
 
 
 @pytest.mark.parametrize("cfg, module, name, poison, call, row", NAN_CASES,
@@ -420,6 +432,46 @@ def test_cli_parser_is_built_once():
     assert build_parser() is build_parser()
 
 
+# Two values of each flag but --out.
+FLAG_VALUES = {
+    "--seed": ("0", "1"),
+    "--format": ("json", "csv"),
+    "--samples": ("4", "5"),
+    "--dim": ("2", "3"),
+    "--norm": ("l2", "sup"),
+    "--m": ("2", "3"),
+    "--n": ("3", "4"),
+    "--budget": ("200", "300"),
+}
+
+
+def test_every_flag_a_campaign_takes_changes_its_report(tmp_path, capsys):
+    # No flag is inert: a second value of any flag a command accepts moves
+    # its report bytes (runtime_ms, which is wall-clock, cut).
+    def report(command, flags):
+        target = tmp_path / "report"
+        assert main([*command.split(), *itertools.chain(*flags.items()), "--out", str(target)]) == 0
+        return re.sub(r'\n *"runtime_ms": \d+,', "", target.read_text())
+
+    commands = command_flags(build_parser())
+    assert len(commands) == len(campaigns.CAMPAIGNS)
+    for command, accepted in commands.items():
+        base = {flag: FLAG_VALUES[flag][0] for flag in sorted(accepted - {"--out"})}
+        varied = list(base)
+        if command == "verify sharpness":
+            # Its --samples takes only its number of checks, until ROADMAP
+            # item 1 drops the flag.
+            base["--samples"] = "2"
+            varied.remove("--samples")
+            with pytest.raises(SystemExit) as exc:
+                main(["verify", "sharpness", "--samples", "3"])
+            assert exc.value.code == 2
+        reference = report(command, base)
+        for flag in varied:
+            assert report(command, {**base, flag: FLAG_VALUES[flag][1]}) != reference, (command, flag)
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("norm", ["l2", "lp:3", "sup", "l1"])
 def test_ball_and_domain_write_the_same_reports(norm, tmp_path, capsys):
     # One runner serves both: the reports differ only in their campaign
@@ -442,7 +494,9 @@ def test_ball_and_domain_write_the_same_reports(norm, tmp_path, capsys):
 def test_large_exponent_gauges_run_clean(campaign, capsys):
     # At p = 250 the power sum of a small point underflows and rho^{1-p}
     # overflows; the gauge and the support functional rescale instead.
-    argv = ["verify", campaign, "--norm", "lp:250", "--dim", "2", "--samples", "1000"]
+    argv = ["verify", campaign, "--norm", "lp:250", "--dim", "2"]
+    if campaign != "sharpness":  # its two checks are fixed
+        argv += ["--samples", "1000"]
     assert main(argv) == 0
     obj = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
     assert obj["violations"] == [] and math.isfinite(obj["max_value"])

@@ -154,6 +154,16 @@ def test_uniforms_lie_strictly_inside_the_unit_interval():
     assert not np.array_equal(u, uniforms(3, np.arange(2000), SAMPLE_DRAWS))
 
 
+def test_uniforms_stream_is_pinned():
+    # Every sampled report depends on these bits: a one-word and a two-word
+    # seed, at the first draws and past 2**32.
+    assert uniforms(0, [0, 1], 2).tolist() == [
+        [0.13870941014555427, 0.9711020828012883],
+        [0.18383979100743952, 0.6250937004946516],
+    ]
+    assert uniforms(2**70 + 3, [5], 2, 1 << 32).tolist() == [[0.7303689806954566, 0.17544055032540873]]
+
+
 def test_sample_batch_pads_with_zero_atoms():
     weights, angles = sample_batch(1, np.arange(500))
     assert weights.shape == angles.shape == (500, MAX_ATOMS)

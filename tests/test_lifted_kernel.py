@@ -6,10 +6,20 @@ the scalar entry points rebuild and re-evaluate its row exactly, so these
 checks use ==, never isclose.
 """
 
+import json
+
 import numpy as np
 import pytest
 
-from zalcman import CampaignConfig, HerglotzMeasure, LiftedMapSpec, rho, run_campaign, zalcman_nd
+from zalcman import (
+    CampaignConfig,
+    HerglotzMeasure,
+    LiftedMapSpec,
+    render_report,
+    rho,
+    run_campaign,
+    zalcman_nd,
+)
 from zalcman import campaigns, mappings
 from zalcman.campaigns import SAMPLE_BLOCK, space_of
 from zalcman.geometry import (
@@ -50,6 +60,12 @@ RAY_CONFIGS = [(norm, dim) for norm in NORMS for dim in (2, 3)]
 
 def config(campaign, norm, dim, samples=ROWS, seed=5):
     return CampaignConfig(campaign, seed=seed, samples=samples, dim=dim, norm=norm)
+
+
+def replayed_config(rep):
+    """The config of a report, read back from its JSON alone."""
+    obj = json.loads(render_report(rep, "json"))
+    return CampaignConfig(obj["campaign"], obj["seed"], **obj["config"])
 
 
 def reduction_value(red, dual):
@@ -196,9 +212,9 @@ def test_witnesses_past_the_first_block_carry_their_own_index(monkeypatch):
     real = campaigns.zalcman_rows
     monkeypatch.setattr(campaigns, "zalcman_rows", lambda *a: (real(*a)[0], real(*a)[1] + 3.0))
     for campaign in ("ball", "domain", "gradients", "reduction"):
-        cfg = config(campaign, "sup", 3, samples=30)
+        rep = run_campaign(config(campaign, "sup", 3, samples=30))
+        cfg = replayed_config(rep)
         space = space_of(cfg)
-        rep = run_campaign(cfg)
         flagged = [i for i, margin in enumerate(rep.margins.tolist()) if not margin >= -campaigns.TOLERANCE]
         assert [w["index"] for w in rep.violations] == flagged
         assert len([i for i in flagged if i >= 8]) >= 15
@@ -216,15 +232,16 @@ def test_witnesses_past_the_first_block_carry_their_own_index(monkeypatch):
 
 def test_lifted_witnesses_replay_their_values():
     # Tolerances tightened until every row is a witness; each must rebuild
-    # its value or residuals from (seed, index) alone.
+    # its value or residuals from its report alone: the seed, gauge and
+    # dimension in the report, and the index, map and point in the witness.
     tight = dict(GRAD_FD_TOL=1e-300, REDUCTION_TOL=1e-300)
     for campaign in ("gradients", "reduction"):
-        cfg = config(campaign, "lp:1.5", 3, samples=20)
         with pytest.MonkeyPatch.context() as mp:
             for name, value in tight.items():
                 mp.setattr(campaigns, name, value)
-            rep = run_campaign(cfg)
+            rep = run_campaign(config(campaign, "lp:1.5", 3, samples=20))
             assert len(rep.violations) >= 15
+            cfg = replayed_config(rep)
             space = space_of(cfg)
             for w in rep.violations:
                 if campaign == "gradients":
@@ -236,9 +253,9 @@ def test_lifted_witnesses_replay_their_values():
                     assert (red[0], dual[0]) == (w["reduction_residual"], w["dual_path_residual"])
                     assert reduction_crosscheck(space, spec, z) == w["reduction_residual"]
     for campaign in ("ball", "domain"):
-        cfg = config(campaign, "sup", 3, samples=30)
-        rep = run_campaign(cfg)
-        i = max(range(30), key=lambda k: rep.values[k])
+        rep = run_campaign(config(campaign, "sup", 3, samples=30))
+        cfg = replayed_config(rep)
+        i = max(range(cfg.samples), key=lambda k: rep.values[k])
         spec, z = campaigns._lifted_sample(cfg, space_of(cfg), i)
         assert zalcman_nd(space_of(cfg), spec, z).zalcman == rep.max_value
 

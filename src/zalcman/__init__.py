@@ -20,7 +20,6 @@ from .starlike import (
 )
 from .geometry import (
     Covector,
-    SpaceSpec,
     euclidean,
     l1_space,
     lp_space,
@@ -28,44 +27,28 @@ from .geometry import (
     sup_space,
 )
 from .mappings import (
-    GridSpec,
-    LiftedMapSpec,
     make_extremal_ball,
     make_extremal_domain,
     sample_lifted_spec,
     starlikeness_scan,
     zalcman_nd,
 )
-from .campaigns import (
-    CampaignConfig,
-    CampaignReport,
-    UsageError,
-    emit_report,
-    render_report,
-    run_campaign,
-)
+from .campaigns import CampaignConfig, run_campaign
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CampaignConfig",
-    "CampaignReport",
     "Covector",
-    "GridSpec",
     "HerglotzMeasure",
-    "LiftedMapSpec",
-    "SpaceSpec",
-    "UsageError",
     "ZalcmanOrder",
     "coeffs_from_p",
     "coeffs_oracle",
-    "emit_report",
     "euclidean",
     "l1_space",
     "lp_space",
     "make_extremal_ball",
     "make_extremal_domain",
-    "render_report",
     "rho",
     "run_campaign",
     "sample_lifted_spec",

@@ -66,20 +66,7 @@ from .starlike import MAX_BUDGET, ZalcmanOrder, search_extremal, zalcman_values
 # A margin below -TOLERANCE is a violation.
 TOLERANCE = 1e-9
 
-# Version of the report contract.  2: the one-variable campaigns draw their
-# samples from the counter-based stream, and JSON reports carry this key.
-# 3: so do ball, domain, gradients and reduction, and sharpness evaluates
-# through the batched several-variables kernels (its values move by ulps).
-# 4: the search draws its starts from the counter stream and ranks its
-# candidates through the batched kernel.
-# 5: the lifted functionals are the coefficient recurrence on node moments
-# at z/rho(z), so ball, domain, reduction and sharpness values move by ulps.
-# 6: the 1-D phase table holds the node powers e^{ik theta}, from one cos and
-# sin per atom, so caratheodory, zalcman1d and search values move by ulps.
-# 7: the lifted moments are the 1-D table kernel at the lifted nodes, so
-# ball, domain, reduction and sharpness values move by ulps.
-# 8: JSON reports carry ``config``, the settings their campaign reads; the
-# search's order and budget move there from ``extras``.
+# Version of the report contract; CHANGES.md records what each bump changed.
 REPORT_VERSION = 8
 
 # Per-check residual tolerances for the identity campaigns; margins are
@@ -197,10 +184,10 @@ def _complex_list(v) -> list[list[float]]:
     return [[c.real, c.imag] for c in np.asarray(v, dtype=complex)]
 
 
-def violation_rows(margins: np.ndarray, tolerance: float) -> np.ndarray:
-    """Indices of the rows whose margin is not >= -tolerance; a NaN margin
+def violation_rows(margins: np.ndarray) -> np.ndarray:
+    """Indices of the rows whose margin is not >= -TOLERANCE; a NaN margin
     is a violation."""
-    return np.flatnonzero(~(margins >= -tolerance))
+    return np.flatnonzero(~(margins >= -TOLERANCE))
 
 
 def _walk(cfg: CampaignConfig, space: SpaceSpec | None, rows) -> np.ndarray:
@@ -448,7 +435,7 @@ def run_campaign(cfg: CampaignConfig) -> CampaignReport:
     values = np.asarray(values, dtype=float)
     margins = np.asarray(margins, dtype=float)
     values.flags.writeable = margins.flags.writeable = False
-    violations = [witness(int(i)) for i in violation_rows(margins, TOLERANCE)]
+    violations = [witness(int(i)) for i in violation_rows(margins)]
     runtime_ms = int(round((time.perf_counter() - start) * 1000.0))
     return CampaignReport(
         campaign=cfg.campaign,
@@ -484,7 +471,7 @@ def _csv_chunks(report: CampaignReport):
     yield "index,value,margin,violation\n"
     n = len(report.values)
     flags = np.zeros(n, dtype=np.int8)
-    flags[[v["index"] for v in report.violations if "index" in v]] = 1
+    flags[[v["index"] for v in report.violations]] = 1
     for first in range(0, n, SAMPLE_BLOCK):
         last = min(first + SAMPLE_BLOCK, n)
         cells = [None] * (4 * (last - first))

@@ -42,7 +42,7 @@ _FLAGS = {
 
 def _add_campaign(commands, name: str, summary: str) -> None:
     sub = commands.add_parser(name, help=summary)
-    sub.set_defaults(campaign=name)
+    sub.set_defaults(campaign=name, parser=sub)
     sub.add_argument("--seed", type=int, default=0, help="campaign seed (default 0)")
     sub.add_argument("--out", default=None, metavar="PATH",
                      help="write the report here instead of stdout")
@@ -84,7 +84,10 @@ def _config_from(args: argparse.Namespace) -> CampaignConfig:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    # A campaign's parser, not the root's, reports a flag it does not take.
+    args, unknown = build_parser().parse_known_args(argv)
+    if unknown:
+        args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
         cfg = _config_from(args)
         report = run_campaign(cfg)

@@ -79,16 +79,6 @@ class SpaceSpec:
         elif self.p is not None:
             raise ValueError(f"kind {self.kind!r} takes no exponent")
 
-    def to_json(self) -> dict:
-        obj: dict = {"dim": self.dim, "kind": self.kind}
-        if self.kind == "lp":
-            obj["p"] = self.p
-        return obj
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "SpaceSpec":
-        return cls(int(obj["dim"]), obj["kind"], obj.get("p"))
-
 
 def lp_space(dim: int, p: float) -> SpaceSpec:
     return SpaceSpec(dim, "lp", float(p))

@@ -314,13 +314,6 @@ class ScanWitness:
     zeta: complex
     h_value: complex
 
-    def to_json(self) -> dict:
-        return {
-            "direction": [[c.real, c.imag] for c in self.direction],
-            "zeta": [self.zeta.real, self.zeta.imag],
-            "h": [self.h_value.real, self.h_value.imag],
-        }
-
 
 @dataclass(frozen=True)
 class ScanReport:

@@ -79,12 +79,9 @@ class TruncatedSeries:
             e[m] = (ka[1 : m + 1] * e[m - 1 :: -1]).sum() / m
         return TruncatedSeries(tuple(e.tolist()))
 
-    def eval(self, zeta: complex) -> complex:
+    def __call__(self, zeta: complex) -> complex:
         """Horner evaluation of the truncated polynomial at ``zeta``."""
         acc = 0j
         for c in reversed(self.coeffs):
             acc = acc * zeta + c
         return acc
-
-    def __call__(self, zeta: complex) -> complex:
-        return self.eval(zeta)

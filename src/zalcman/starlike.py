@@ -63,10 +63,6 @@ class SchlichtCoefficients:
         if not self.a or self.a[0] != 1:
             raise ValueError("a_1 must be exactly 1")
 
-    @property
-    def order(self) -> int:
-        return len(self.a)
-
     def coef(self, n: int) -> complex:
         """1-based Taylor coefficient a_n."""
         if not 1 <= n <= len(self.a):

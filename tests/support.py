@@ -5,8 +5,9 @@ import argparse
 import numpy as np
 from hypothesis import strategies as st
 
-from zalcman import HerglotzMeasure, LiftedMapSpec
+from zalcman import HerglotzMeasure
 from zalcman.geometry import Covector, dual_norm
+from zalcman.mappings import LiftedMapSpec
 
 finite_floats = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
 

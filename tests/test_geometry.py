@@ -45,11 +45,6 @@ def test_space_spec_validation():
         SpaceSpec(2, "sup", 2.0)
 
 
-@pytest.mark.parametrize("space", FAMILIES, ids=family_ids())
-def test_space_spec_json_roundtrip(space):
-    assert SpaceSpec.from_json(space.to_json()) == space
-
-
 def test_gauge_values_on_a_known_vector():
     z = np.array([3.0, 4.0j, 0.0])
     assert rho(euclidean(3), z) == 5.0

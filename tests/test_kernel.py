@@ -100,10 +100,10 @@ def test_nan_angle_is_flagged_as_a_violation():
     weights, angles = sample_batch(8, np.arange(64))
     angles[5, 0] = math.nan
     margins = batch_margins(weights, angles).min(axis=1)
-    assert violation_rows(margins, 1e-9).tolist() == [5]
+    assert violation_rows(margins).tolist() == [5]
     order = ZalcmanOrder(2, 3)
     values = zalcman_values(weights, angles, order)
-    assert violation_rows(order.bound - values, 1e-9).tolist() == [5]
+    assert violation_rows(order.bound - values).tolist() == [5]
 
 
 def test_the_moment_kernel_makes_no_table_sized_temporary():

@@ -14,14 +14,12 @@ import pytest
 from zalcman import (
     CampaignConfig,
     HerglotzMeasure,
-    LiftedMapSpec,
-    render_report,
     rho,
     run_campaign,
     zalcman_nd,
 )
 from zalcman import campaigns, mappings
-from zalcman.campaigns import SAMPLE_BLOCK, space_of
+from zalcman.campaigns import SAMPLE_BLOCK, render_report, space_of
 from zalcman.geometry import (
     dual_norm,
     exceptional_distance,
@@ -36,6 +34,7 @@ from zalcman.geometry import (
 from zalcman.herglotz import MAX_ATOMS, batch_moments, phase_table, sample_batch, uniforms
 from zalcman.mappings import (
     SPEC_ATOMS,
+    LiftedMapSpec,
     closed_form_values,
     functional_A,
     functional_B,

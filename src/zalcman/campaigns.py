@@ -9,10 +9,11 @@ pure function of (seed, i) under the counter-based stream of
 hands blocks of at most ``SAMPLE_BLOCK`` indices to one vectorised kernel:
 ``sample_batch`` and the moment kernel in one variable; ``mappings.spec_rows``,
 ``geometry.point_rows``/``sphere_rows``, the batched gauge and covector
-kernels and ``starlike.batch_coeffs`` in several.  Every sampler takes
-(seed, indices) and reads the stream itself.  A sample that lands
-near the exceptional set draws its next attempt from further draw indices
-of its own stream, so it stays a pure function of (seed, i).  Bound campaigns
+kernels and ``starlike.batch_coeffs`` in several.  A block takes the
+draws of its samples in one ``uniforms`` call and hands each sampler the
+columns it reads.  A sample that lands near the exceptional set draws its
+next attempt from further draw indices of its own stream, so it stays a
+pure function of (seed, i).  Bound campaigns
 (caratheodory, zalcman1d, ball, domain) track the raw functional value
 against its theorem bound; identity campaigns (gradients, reduction,
 sharpness) track residuals normalized by their per-check tolerance, so a
@@ -224,10 +225,13 @@ def _run_zalcman1d(cfg: CampaignConfig, space):
 
 def _lifted_rows(cfg: CampaignConfig, space: SpaceSpec, indices: np.ndarray):
     """(weights, covectors, points) of the given samples of ball, domain and
-    reduction: the map from the first ``spec_draws`` draws of each sample,
-    the point from the draws after them."""
-    lams, covs = spec_rows(space, cfg.seed, indices)
-    return lams, covs, point_rows(space, cfg.seed, indices, spec_draws(space))
+    reduction, from one ``uniforms`` call: the map from the first
+    ``spec_draws`` draws of each sample, the point from the 1 + 2 dim draws
+    after them (a rejected first direction draws its own further ones)."""
+    draws = spec_draws(space)
+    u = uniforms(cfg.seed, indices, draws + 1 + 2 * space.dim)
+    lams, covs = spec_rows(space, u[:, :draws])
+    return lams, covs, point_rows(space, u[:, draws:], cfg.seed, indices, draws)
 
 
 def _lifted_sample(cfg: CampaignConfig, space: SpaceSpec, i: int):
@@ -268,11 +272,12 @@ def _gradient_residuals(space: SpaceSpec, z: np.ndarray, theta: np.ndarray) -> n
 
 
 def _gradient_rows(cfg: CampaignConfig, space: SpaceSpec, indices: np.ndarray):
-    """(z, residuals) of the given samples of the gradients campaign: the
-    rotation angle from draw 0, the sphere point from the draws after it."""
-    theta = 2.0 * np.pi * uniforms(cfg.seed, indices, 1)[:, 0]
-    z = sphere_rows(space, cfg.seed, indices, 1, GRAD_MIN_GAP)
-    return z, _gradient_residuals(space, z, theta)
+    """(z, residuals) of the given samples of the gradients campaign, from
+    one ``uniforms`` call: the rotation angle from draw 0, the sphere point
+    from the 2 dim draws after it (a rejected one draws its own further ones)."""
+    u = uniforms(cfg.seed, indices, 1 + 2 * space.dim)
+    z = sphere_rows(space, u[:, 1:], cfg.seed, indices, 1, GRAD_MIN_GAP)
+    return z, _gradient_residuals(space, z, 2.0 * np.pi * u[:, 0])
 
 
 def _gradient_sample(cfg: CampaignConfig, space: SpaceSpec, i: int):

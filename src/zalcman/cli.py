@@ -6,9 +6,12 @@
 
 Each campaign takes ``--seed``, ``--out`` and ``--format`` plus a flag for
 each setting it reads (``campaigns.CAMPAIGNS``); any other flag is a usage
-error.  Exit status: 0 when the campaign finds no violations, 1 when it
-does, 2 on a usage error.  A margin below -1e-9 (``campaigns.TOLERANCE``),
-or a NaN margin, is a violation; no option changes that gate.
+error.  One parser per command: the command's own parser reads the flags
+after its words, and a command line that names no command goes to the root
+parser, which prints help or the usage error.  Exit status: 0 when the
+campaign finds no violations, 1 when it does, 2 on a usage error.  A margin
+below -1e-9 (``campaigns.TOLERANCE``), or a NaN margin, is a violation; no
+option changes that gate.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ _FLAGS = {
 }
 
 
-def _add_campaign(commands, name: str, summary: str) -> None:
+def _add_campaign(commands, name: str, summary: str) -> argparse.ArgumentParser:
     sub = commands.add_parser(name, help=summary)
     sub.set_defaults(campaign=name, parser=sub)
     sub.add_argument("--seed", type=int, default=0, help="campaign seed (default 0)")
@@ -56,11 +59,14 @@ def _add_campaign(commands, name: str, summary: str) -> None:
         # Its two checks are fixed; --samples 2 stays accepted only until
         # ROADMAP item 1 drops it from the benchmark's command lines.
         sub.add_argument("--samples", type=int, choices=(2,), help="its number of checks")
+    return sub
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser; built once, since parsing leaves it unchanged."""
+def _parsers() -> tuple[argparse.ArgumentParser, dict[tuple[str, ...], argparse.ArgumentParser]]:
+    """The root parser, and each command's own parser under its words, such
+    as ("verify", "ball") and ("search",); built once, since parsing leaves
+    them unchanged."""
     parser = argparse.ArgumentParser(
         prog="zalcman",
         description="Numerical verification of coefficient-functional bounds "
@@ -69,11 +75,35 @@ def build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
     verify = commands.add_parser("verify", help="run a seeded verification campaign")
     campaigns = verify.add_subparsers(dest="campaign", required=True)
-    for name in CAMPAIGNS:
-        if name != "search":
-            _add_campaign(campaigns, name, f"the {name} campaign")
-    _add_campaign(commands, "search", "search for extremizers of |a_m a_n - a_{m+n-1}|")
-    return parser
+    leaves = {
+        ("verify", name): _add_campaign(campaigns, name, f"the {name} campaign")
+        for name in CAMPAIGNS
+        if name != "search"
+    }
+    leaves[("search",)] = _add_campaign(
+        commands, "search", "search for extremizers of |a_m a_n - a_{m+n-1}|"
+    )
+    return parser, leaves
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, with every command under its root."""
+    return _parsers()[0]
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """The flags of argv, read by the parser of the command its leading
+    words name; argv that names no command goes to the root parser."""
+    root, leaves = _parsers()
+    for n in (1, 2):
+        leaf = leaves.get(tuple(argv[:n]))
+        if leaf is not None:
+            return leaf.parse_args(argv[n:])
+    # A campaign's parser, not the root's, reports a flag it does not take.
+    args, unknown = root.parse_known_args(argv)
+    if unknown:
+        args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
+    return args
 
 
 def _config_from(args: argparse.Namespace) -> CampaignConfig:
@@ -84,10 +114,7 @@ def _config_from(args: argparse.Namespace) -> CampaignConfig:
 
 
 def main(argv: list[str] | None = None) -> int:
-    # A campaign's parser, not the root's, reports a flag it does not take.
-    args, unknown = build_parser().parse_known_args(argv)
-    if unknown:
-        args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
         cfg = _config_from(args)
         report = run_campaign(cfg)

@@ -19,9 +19,11 @@ vector or an array of vectors along its last axis, such as the
 (rows, atoms, dim) covectors of a batch of lifted maps; the covector,
 gradient and finite-difference kernels take (rows, dim) arrays, and
 ``support_covector``, ``minkowski_gradient`` and ``wirtinger_fd_gradient``
-are batch-of-one calls into them.  The samplers turn the uniforms of the
-counter-based stream of ``herglotz.uniforms`` into points, so a row is a
-pure function of (seed, index).
+are batch-of-one calls into them.  The samplers turn uniforms of the
+counter-based stream of ``herglotz.uniforms`` into points: each takes the
+first attempt's uniforms from its caller, which draws them in the same call
+as the rest of each sample, and draws a rejected row's later attempts
+itself, so a row is a pure function of (seed, index).
 """
 
 from __future__ import annotations
@@ -336,27 +338,31 @@ def gaussians(u: np.ndarray) -> np.ndarray:
 
 
 def sphere_rows(
-    space: SpaceSpec, seed: int, indices, start: int = 0, min_gap: float = EXC_EPS
+    space: SpaceSpec, u: np.ndarray, seed: int, indices, start: int, min_gap: float = EXC_EPS
 ) -> np.ndarray:
     """(len(indices), dim) points on the unit sphere of the gauge, at least
     min_gap off E, one per sample index of the counter stream of ``seed``.
 
     Attempt k of a row normalizes the complex Gaussian of its draws
-    start + 2 dim k .. start + 2 dim (k + 1) - 1; a row that lands at the
-    origin or within min_gap of E moves on to its next attempt, so each row
-    depends on (seed, its index) alone.
+    start + 2 dim k .. start + 2 dim (k + 1) - 1.  ``u`` holds attempt 0 of
+    every row, the (rows, 2 dim) uniforms ``herglotz.uniforms(seed, indices,
+    2 dim, start)``, so a caller that draws more of each sample takes them
+    in the same call; a row that lands at the origin or within min_gap of E
+    draws its next attempt, so each row depends on (seed, its index) alone.
     """
     indices = np.asarray(indices)
     width = 2 * space.dim
     out = np.empty((len(indices), space.dim), dtype=complex)
     todo = np.arange(len(indices))
     for attempt in range(SPHERE_ATTEMPTS):
-        g = gaussians(uniforms(seed, indices[todo], width, start + attempt * width))
+        if attempt:
+            u = uniforms(seed, indices[todo], width, start + attempt * width)
+        g = gaussians(u)
         r = rho(space, g)
         with np.errstate(divide="ignore", invalid="ignore"):
-            u = g / r[:, None]
-            ok = (r != 0.0) & (exceptional_distance(space, u) >= min_gap)
-        out[todo[ok]] = u[ok]
+            unit = g / r[:, None]
+            ok = (r != 0.0) & (exceptional_distance(space, unit) >= min_gap)
+        out[todo[ok]] = unit[ok]
         todo = todo[~ok]
         if not todo.size:
             return out
@@ -367,25 +373,29 @@ def sphere_rows(
 
 
 def point_rows(
-    space: SpaceSpec, seed: int, indices, start: int = 0, min_gap: float = EXC_EPS
+    space: SpaceSpec, u: np.ndarray, seed: int, indices, start: int, min_gap: float = EXC_EPS
 ) -> np.ndarray:
     """(len(indices), dim) points of the open unit ball with gauge in
-    [POINT_RMIN, POINT_RMAX], off E: the radius from draw ``start`` of each
-    index, the direction from the draws after it (see ``sphere_rows``)."""
-    r = POINT_RMIN + (POINT_RMAX - POINT_RMIN) * uniforms(seed, indices, 1, start)[:, 0]
+    [POINT_RMIN, POINT_RMAX], off E, from the (rows, 1 + 2 dim) uniforms
+    ``u`` of draws start .. start + 2 dim of each index: the radius from
+    draw ``start``, the direction from the ``sphere_rows`` of the draws
+    after it."""
+    r = POINT_RMIN + (POINT_RMAX - POINT_RMIN) * u[:, 0]
     # E is a cone, so scaling by r multiplies the gap by r; demanding
     # min_gap / POINT_RMIN on the sphere keeps the scaled point min_gap off E.
-    return r[:, None] * sphere_rows(space, seed, indices, start + 1, min_gap / POINT_RMIN)
+    return r[:, None] * sphere_rows(space, u[:, 1:], seed, indices, start + 1, min_gap / POINT_RMIN)
 
 
 def sample_direction(space: SpaceSpec, rng: np.random.Generator, min_gap: float = EXC_EPS) -> np.ndarray:
     """Random point on the unit sphere of the gauge, at least min_gap off E:
     row 0 of ``sphere_rows`` under one seed taken from ``rng``."""
-    return sphere_rows(space, int(rng.integers(2**63)), [0], min_gap=min_gap)[0]
+    seed = int(rng.integers(2**63))
+    return sphere_rows(space, uniforms(seed, [0], 2 * space.dim), seed, [0], 0, min_gap)[0]
 
 
 def sample_point(space: SpaceSpec, rng: np.random.Generator, min_gap: float = EXC_EPS) -> np.ndarray:
     """Random point of the open unit ball with gauge in [POINT_RMIN,
     POINT_RMAX], off E: row 0 of ``point_rows`` under one seed taken from
     ``rng``."""
-    return point_rows(space, int(rng.integers(2**63)), [0], min_gap=min_gap)[0]
+    seed = int(rng.integers(2**63))
+    return point_rows(space, uniforms(seed, [0], 1 + 2 * space.dim), seed, [0], 0, min_gap)[0]

@@ -42,12 +42,14 @@ SAMPLE_DRAWS = 1 + 2 * MAX_ATOMS
 # 3" (SC'11): the seed keys a parent generator, output i + 1 of the parent
 # keys the generator of sample i, and output j + 1 of that is uniform j of
 # the sample.  Every uniform is a pure function of (seed, index, draw).
-_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+# The increment and the output function's multipliers and shifts: as Python
+# ints for the one key of a seed, and as uint64 for the arrays of a draw, so
+# that numpy converts no Python int on each call.
+_GAMMA, _MIX1, _MIX2 = 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
+_SHIFT1, _SHIFT2, _SHIFT3 = 30, 27, 31
 _WORD = (1 << 64) - 1
-# The output function's multipliers and shifts, as uint64 so that numpy
-# converts no Python int on each call.
-_MIX1, _MIX2 = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
-_SHIFT1, _SHIFT2, _SHIFT3 = np.uint64(30), np.uint64(27), np.uint64(31)
+_U_GAMMA, _U_MIX1, _U_MIX2 = np.uint64(_GAMMA), np.uint64(_MIX1), np.uint64(_MIX2)
+_U_SHIFT1, _U_SHIFT2, _U_SHIFT3 = np.uint64(_SHIFT1), np.uint64(_SHIFT2), np.uint64(_SHIFT3)
 
 
 class CaratheodoryMargins(NamedTuple):
@@ -229,16 +231,20 @@ class HerglotzMeasure:
 
 def _mix64(z: np.ndarray) -> np.ndarray:
     """SplitMix64 output function on a uint64 array (wrapping arithmetic)."""
-    z = (z ^ (z >> _SHIFT1)) * _MIX1
-    z = (z ^ (z >> _SHIFT2)) * _MIX2
-    return z ^ (z >> _SHIFT3)
+    z = (z ^ (z >> _U_SHIFT1)) * _U_MIX1
+    z = (z ^ (z >> _U_SHIFT2)) * _U_MIX2
+    return z ^ (z >> _U_SHIFT3)
 
 
-def _stream_key(seed: int) -> np.ndarray:
-    """State of the parent generator: every 64-bit word of ``seed`` mixed in."""
-    key = np.zeros(1, dtype=np.uint64)
+def _stream_key(seed: int) -> int:
+    """State of the parent generator: every 64-bit word of ``seed`` mixed in
+    by ``_mix64`` on Python ints, each product cut to 64 bits."""
+    key = 0
     while True:
-        key = _mix64(key + np.uint64(seed & _WORD) + _GAMMA)
+        z = (key + (seed & _WORD) + _GAMMA) & _WORD
+        z = ((z ^ (z >> _SHIFT1)) * _MIX1) & _WORD
+        z = ((z ^ (z >> _SHIFT2)) * _MIX2) & _WORD
+        key = z ^ (z >> _SHIFT3)
         seed >>= 64
         if not seed:
             return key
@@ -254,8 +260,9 @@ def uniforms(seed: int, indices, draws: int, start: int = 0) -> np.ndarray:
     """
     if seed < 0:
         raise ValueError("seed must be >= 0")
-    sample_keys = _mix64(_stream_key(seed) + (np.asarray(indices, dtype=np.uint64) + 1) * _GAMMA)
-    steps = np.arange(start + 1, start + draws + 1, dtype=np.uint64) * _GAMMA
+    key = np.uint64(_stream_key(seed))
+    sample_keys = _mix64(key + (np.asarray(indices, dtype=np.uint64) + 1) * _U_GAMMA)
+    steps = np.arange(start + 1, start + draws + 1, dtype=np.uint64) * _U_GAMMA
     bits = _mix64(sample_keys[:, None] + steps)
     return ((bits >> 12).astype(np.float64) + 0.5) * 2.0**-52
 

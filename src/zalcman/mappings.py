@@ -29,8 +29,9 @@ work on whole batches; ``hom_parts``, ``closed_form_values``,
 ``zalcman_nd`` (one ``FunctionalValues`` for both normalizations),
 ``functional_A``, ``functional_B``, ``restrict_h``, ``reduction_crosscheck``
 and ``sample_lifted_spec`` are batch-of-one calls into the same functions.
-The sampler and the scan's directions read ``herglotz.uniforms`` by
-(seed, indices), so each map or direction depends on its seed and index alone.
+The sampler and the scan's directions turn uniforms of ``herglotz.uniforms``,
+drawn by (seed, indices), into maps and points, so each map or direction
+depends on its seed and index alone.
 """
 
 from __future__ import annotations
@@ -382,7 +383,9 @@ def starlikeness_scan(
     grid and the witness, and ``samples`` counts the grid.
     """
     lams, covs = _atom_arrays(spec)
-    directions = sphere_rows(space, seed, np.arange(grid.directions), SCAN_DRAW_START)
+    d = np.arange(grid.directions)
+    u = uniforms(seed, d, 2 * space.dim, SCAN_DRAW_START)
+    directions = sphere_rows(space, u, seed, d, SCAN_DRAW_START)
     x = pair(covs, directions[:, None, :])
     radii = np.geomspace(grid.rmin, grid.rmax, grid.radii)
     phases = np.exp(2j * np.pi * np.arange(grid.angles) / grid.angles)
@@ -468,20 +471,19 @@ def spec_draws(space: SpaceSpec) -> int:
     return 1 + SPEC_ATOMS * (2 + 2 * space.dim)
 
 
-def spec_rows(space: SpaceSpec, seed: int, indices, start: int = 0) -> tuple[np.ndarray, np.ndarray]:
+def spec_rows(space: SpaceSpec, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Random certified-starlike product maps on the given gauge, one per
-    sample index of the counter stream of ``seed``.
+    row of ``u``, the (rows, ``spec_draws``) uniforms of each sample
+    (``herglotz.uniforms``).
 
-    Returns weights (rows, SPEC_ATOMS) and covectors (rows, SPEC_ATOMS, dim)
-    from the ``spec_draws`` uniforms of each index from draw ``start`` on
-    (``herglotz.uniforms``): the ``herglotz.atom_counts``
-    and ``simplex_rows`` of a measure, with each functional a complex
-    Gaussian covector (Box-Muller) rescaled to a dual norm drawn from
-    [0.25, 1], keeping the map holomorphic on the open unit ball of the
-    gauge.  Atoms past the count are padding of weight 0 and covector 0, so
-    a row's map is its atoms of positive weight: there are no counts.
+    Returns weights (rows, SPEC_ATOMS) and covectors (rows, SPEC_ATOMS, dim):
+    the ``herglotz.atom_counts`` and ``simplex_rows`` of a measure, with
+    each functional a complex Gaussian covector (Box-Muller) rescaled to a
+    dual norm drawn from [0.25, 1], keeping the map holomorphic on the open
+    unit ball of the gauge.  Atoms past the count are padding of weight 0
+    and covector 0, so a row's map is its atoms of positive weight: there
+    are no counts.
     """
-    u = uniforms(seed, indices, spec_draws(space), start)
     lams, live = simplex_rows(u[:, 1 : 1 + SPEC_ATOMS], atom_counts(u[:, 0], SPEC_ATOMS))
     scales = 0.25 + 0.75 * u[:, 1 + SPEC_ATOMS : 1 + 2 * SPEC_ATOMS]
     g = gaussians(u[:, 1 + 2 * SPEC_ATOMS :].reshape(len(u), SPEC_ATOMS, 2 * space.dim))
@@ -495,5 +497,5 @@ def spec_rows(space: SpaceSpec, seed: int, indices, start: int = 0) -> tuple[np.
 def sample_lifted_spec(space: SpaceSpec, rng: np.random.Generator) -> LiftedMapSpec:
     """Random certified-starlike product map on the given gauge: row 0 of
     ``spec_rows`` under one seed taken from ``rng``."""
-    lams, covs = spec_rows(space, int(rng.integers(2**63)), [0])
+    lams, covs = spec_rows(space, uniforms(int(rng.integers(2**63)), [0], spec_draws(space)))
     return LiftedMapSpec.from_row(lams[0], covs[0])

@@ -18,7 +18,7 @@ from zalcman import (
     run_campaign,
     zalcman_J,
 )
-from zalcman import campaigns, mappings
+from zalcman import campaigns, cli, mappings
 from zalcman.campaigns import (
     REPORT_VERSION,
     SAMPLE_BLOCK,
@@ -180,17 +180,27 @@ def test_json_rendering_is_deterministic_and_roundtrips():
 
 
 @pytest.mark.parametrize(
-    "order,seed,budget,fmt,digest",
+    "cfg,fmt,digest",
     [
-        ((2, 3), 0, 20000, "json", "f06a9f80b52dafd34328ae943f7a55d1ee679260988b4338375ad4a971e7ab19"),
-        ((4, 4), 1, 1500, "csv", "6c0be1590a8589091cf75cb79e577dfab36e2318facdf19f514c1620856c4a4f"),
+        (CampaignConfig("search", seed=0, order=(2, 3), budget=20000), "json",
+         "f06a9f80b52dafd34328ae943f7a55d1ee679260988b4338375ad4a971e7ab19"),
+        (CampaignConfig("search", seed=1, order=(4, 4), budget=1500), "csv",
+         "6c0be1590a8589091cf75cb79e577dfab36e2318facdf19f514c1620856c4a4f"),
+        (CampaignConfig("ball", seed=5, samples=200, dim=3, norm="lp:3"), "csv",
+         "126d9ab280e7988348b2e037ed21aeb5eaeaab32d4dcccd90c483afe562567d1"),
+        # Many gradients rows on the l1 sphere of C^5 reject their first
+        # direction and take a later one.
+        (CampaignConfig("gradients", seed=5, samples=200, dim=5, norm="l1"), "csv",
+         "bda14da9067d73c893bf57d7318bc116e4a0c5d061444e452d67a5a044bda6d3"),
+        (CampaignConfig("reduction", seed=5, samples=200, dim=2, norm="lp:1.5"), "csv",
+         "b0fcad9fd85e9e33098755ac7eb0d9858372bba4300d13154e1934e6dc5be39b"),
     ],
-    ids=["23-json", "44-csv"],
+    ids=["23-json", "44-csv", "ball-lp3-csv", "gradients-l1-csv", "reduction-lp1.5-csv"],
 )
-def test_search_report_bytes_are_pinned(order, seed, budget, fmt, digest):
+def test_search_report_bytes_are_pinned(cfg, fmt, digest):
     # Report bytes are a contract: a change that moves them takes a new
     # REPORT_VERSION and new digests.  runtime_ms is wall-clock, so it is cut.
-    rep = run_campaign(CampaignConfig("search", seed=seed, order=order, budget=budget))
+    rep = run_campaign(cfg)
     text = re.sub(r'\n *"runtime_ms": \d+,', "", render_report(rep, fmt))
     assert "runtime_ms" not in text
     assert hashlib.sha256(text.encode()).hexdigest() == digest
@@ -453,6 +463,54 @@ FLAG_VALUES = {
     "--n": ("3", "4"),
     "--budget": ("200", "300"),
 }
+
+
+def _parsed_through_the_root(argv):
+    """argv parsed from the root parser down through every level of
+    commands, with the leaf reporting the flags it does not take."""
+    args, unknown = build_parser().parse_known_args(argv)
+    if unknown:
+        args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
+    return args
+
+
+def _parse_outcome(parse, argv, capsys):
+    """(namespace but its command, exit code, stdout, stderr) of a parse."""
+    try:
+        found, code = vars(parse(argv)), None
+    except SystemExit as exc:
+        found, code = None, exc.code
+    if found is not None:
+        found.pop("command", None)
+    return found, code, *capsys.readouterr()
+
+
+def test_each_command_parser_reads_argv_as_the_root_parser_does(capsys):
+    leaves = cli._parsers()[1]
+    assert sorted(words[-1] for words in leaves) == sorted(campaigns.CAMPAIGNS)
+    commands = command_flags(build_parser())
+    for words in leaves:
+        flags = sorted(commands[" ".join(words)] - {"--out"})
+        every = [item for flag in flags for item in (flag, FLAG_VALUES[flag][1])]
+        if words == ("verify", "sharpness"):
+            every[every.index("--samples") + 1] = "2"
+        tails = [
+            every + ["--out", "report.json"],
+            ["--sam", "7"],
+            ["-h"],
+            ["--seed", "1", "--bogus", "2"],
+            ["--seed", "x"],
+            ["--seed"],
+        ]
+        for tail in tails:
+            argv = [*words, *tail]
+            expected = _parse_outcome(_parsed_through_the_root, argv, capsys)
+            assert _parse_outcome(cli._parse, argv, capsys) == expected, argv
+    # A command line that names no command takes the root parser's path.
+    for argv in ([], ["-h"], ["verify"], ["verify", "--bogus", "ball"], ["--bogus", "search"]):
+        expected = _parse_outcome(_parsed_through_the_root, argv, capsys)
+        assert expected[1] is not None
+        assert _parse_outcome(cli._parse, argv, capsys) == expected, argv
 
 
 def test_every_flag_a_campaign_takes_changes_its_report(tmp_path, capsys):

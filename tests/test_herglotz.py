@@ -155,13 +155,25 @@ def test_uniforms_lie_strictly_inside_the_unit_interval():
 
 
 def test_uniforms_stream_is_pinned():
-    # Every sampled report depends on these bits: a one-word and a two-word
-    # seed, at the first draws and past 2**32.
+    # Every sampled report depends on these bits: a one-, a two- and a
+    # three-word seed, at the first draws, past 2**32 and at an index past
+    # 2**32.
     assert uniforms(0, [0, 1], 2).tolist() == [
         [0.13870941014555427, 0.9711020828012883],
         [0.18383979100743952, 0.6250937004946516],
     ]
     assert uniforms(2**70 + 3, [5], 2, 1 << 32).tolist() == [[0.7303689806954566, 0.17544055032540873]]
+    assert uniforms(2**130 + 5, [2**40], 3, 5).tolist() == [
+        [0.7671218413883499, 0.7305712387710693, 0.8349594251366633]
+    ]
+    # A block that takes all the draws of its samples in one call reads the
+    # same bits as one call for each run of draws.
+    idx = [0, 3, 2**40]
+    for seed in (0, 7, 2**70 + 3, 2**130 + 5):
+        for a, b, start in ((1, 12, 0), (25, 7, 1), (6, 4, 1 << 32)):
+            whole = uniforms(seed, idx, a + b, start)
+            parts = np.hstack([uniforms(seed, idx, a, start), uniforms(seed, idx, b, start + a)])
+            assert whole.tolist() == parts.tolist()
 
 
 def test_sample_batch_pads_with_zero_atoms():

@@ -44,6 +44,7 @@ from zalcman.mappings import (
     reduction_crosscheck,
     reduction_rows,
     restrict_h,
+    spec_draws,
     spec_rows,
     zalcman_rows,
 )
@@ -128,7 +129,7 @@ def test_sampled_rows_lead_with_their_atoms_and_pad_with_weight_zero():
     indices = np.arange(10_000)
     space = space_of(config("ball", "l1", 3))
     weights, angles = sample_batch(7, indices)
-    lams, covs = spec_rows(space, 7, indices)
+    lams, covs = spec_rows(space, uniforms(7, indices, spec_draws(space)))
     for w, width in ((weights, MAX_ATOMS), (lams, SPEC_ATOMS)):
         live = w > 0
         counts = live.sum(axis=1)

@@ -33,6 +33,7 @@ from zalcman.geometry import (
     sample_point,
     sphere_rows,
 )
+from zalcman.herglotz import uniforms
 from zalcman.mappings import (
     DUAL_NORM_TOL,
     SCAN_DRAW_START,
@@ -300,6 +301,12 @@ def test_scan_flags_the_overweight_spec():
     assert cmath.isfinite(w.zeta) and cmath.isfinite(w.h_value)
 
 
+def scan_direction(space, seed, d):
+    """Direction d of the scan of ``seed``, drawn as a batch of one."""
+    u = uniforms(seed, [d], 2 * space.dim, SCAN_DRAW_START)
+    return sphere_rows(space, u, seed, [d], SCAN_DRAW_START)[0]
+
+
 def pointwise_scan(space, spec, grid, seed):
     """(min Re h, first nonpositive (direction, zeta, h)) by scalar h_eval
     calls in (direction, radius, angle) order, with the scan's directions
@@ -307,7 +314,7 @@ def pointwise_scan(space, spec, grid, seed):
     radii = np.geomspace(grid.rmin, grid.rmax, grid.radii)
     min_real, first = math.inf, None
     for d in range(grid.directions):
-        z0 = sphere_rows(space, seed, [d], SCAN_DRAW_START)[0]
+        z0 = scan_direction(space, seed, d)
         for r in radii:
             for j in range(grid.angles):
                 zeta = complex(r * np.exp(2j * np.pi * j / grid.angles))
@@ -530,7 +537,7 @@ def per_direction_scan(space, spec, grid, seed):
     min_real = np.inf
     witness = None
     for d in range(grid.directions):
-        z0 = sphere_rows(space, seed, [d], SCAN_DRAW_START)[0]
+        z0 = scan_direction(space, seed, d)
         h = h_eval(spec, z0, zeta)
         min_real = np.minimum(min_real, h.real.min())
         bad = np.flatnonzero(~(h.real > 0.0))

@@ -1,16 +1,20 @@
-"""The package names the benchmark uses still exist.
+"""The package names the benchmark uses still exist, and its command lines
+still run.
 
 ``perfbench/run.py --trace 1`` looks up every (owner, attribute) of
 ``workloads.traced_functions()`` in ``vars(owner)``; a deleted or renamed
 function would end the traced run with a KeyError.  Every run, traced or
 not, builds its jobs with ``workloads.make_job``, which calls into the
 package as well, and ``perfbench/test_perfbench.py``, which the suite
-does not collect, imports package names of its own.
+does not collect, imports package names of its own.  A job runs its
+commands through ``cli.main`` and checks each report it writes.
 """
 
 import ast
 import importlib.util
 from pathlib import Path
+
+import pytest
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -31,6 +35,18 @@ def test_every_workload_builds_its_jobs(monkeypatch):
 
     for workload in workloads.WORKLOADS:
         assert workloads.make_job(workload, 0).commands
+
+
+@pytest.mark.parametrize("workload", ["scalar", "lifted", "extremal"])
+def test_every_workload_runs_its_first_job_clean(workload, monkeypatch, tmp_path):
+    # Job 0 of each workload passes the benchmark's own output checks, so a
+    # slip in the CLI or a sampler fails here, not first in a benchmark run.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    result = workloads.run_job(workloads.make_job(workload, 0), tmp_path)
+    assert result.problems == []
+    assert result.units > 0
 
 
 def _resolves(module, name: str) -> bool:

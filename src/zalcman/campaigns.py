@@ -38,6 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import (
+    ExceptionalPoint,
     SamplingError,
     SpaceSpec,
     fd_gradient_rows,
@@ -59,7 +60,6 @@ from .mappings import (
     reduction_rows,
     spec_draws,
     spec_rows,
-    zalcman_nd,
     zalcman_rows,
 )
 from .starlike import MAX_BUDGET, ZalcmanOrder, search_extremal, zalcman_values
@@ -291,7 +291,6 @@ def _run_gradients(cfg: CampaignConfig, space: SpaceSpec):
     """Euler identity, scale/phase covariance, and the finite-difference
     cross-check of the gauge gradient, on sphere points well off E (the
     FD stencil needs quantitative smoothness, not just z not in E)."""
-    _check_gap_reachable(space, GRAD_MIN_GAP)
     values = _walk(cfg, space, lambda idx: _gradient_rows(cfg, space, idx)[1].max(axis=1))
 
     def witness(i):
@@ -334,20 +333,20 @@ def _dyadic_direction(space: SpaceSpec) -> np.ndarray:
 def _run_sharpness(cfg: CampaignConfig, space: SpaceSpec):
     """Extremal maps on their designated rays hit the bound to 1e-12.
 
-    Ball mode uses a generic smooth direction through ``zalcman_nd``.
-    Domain mode pins the first coordinate to the slice radius r = 1; for
-    gauges whose sphere is not smooth along that axis (l1 and lp with
-    p < 2) that point lies on E, so the functionals are evaluated by their
-    continuous extension ``closed_form_values``, since the closed form
-    f_{k-1}(z/rho) does not involve the gradient at all.
+    Ball mode takes the map of a generic smooth direction u (a usage error
+    where u is within EXC_EPS of E) at 0.75 u.  Domain mode pins the first
+    coordinate to the slice radius r = 1, on E for l1 and lp with p < 2.
+    Both are evaluated by the continuous extension ``closed_form_values``:
+    the closed form f_{k-1}(z/rho) does not involve the gradient at all.
     """
     u = _dyadic_direction(space)
-    fv = zalcman_nd(space, make_extremal_ball(space, u), 0.75 * u)
+    try:
+        ball = make_extremal_ball(space, u)
+    except ExceptionalPoint as exc:
+        raise UsageError(f"{exc} in C^{space.dim}; lower --dim") from exc
     zd = 0.75 * (u if space.kind == "sup" else np.eye(space.dim, dtype=complex)[0])
-    checks = [
-        ("ball", fv.values, fv.zalcman),
-        ("domain", *closed_form_values(make_extremal_domain(space), zd, rho(space, zd))),
-    ]
+    rays = [("ball", ball, 0.75 * u), ("domain", make_extremal_domain(space), zd)]
+    checks = [(mode, *closed_form_values(spec, z, rho(space, z))) for mode, spec, z in rays]
 
     # np.max, unlike max, returns NaN when any residual is NaN.
     defects = [
@@ -411,20 +410,6 @@ def _validate(cfg: CampaignConfig) -> SpaceSpec | None:
         return space_of(cfg)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-
-
-def _check_gap_reachable(space: SpaceSpec, gap: float) -> None:
-    """Raise UsageError when no point of the unit sphere is ``gap`` off E.
-
-    On l1 and lp with p < 2, E is where a coordinate vanishes, and the
-    smallest coordinate modulus of a unit vector is at most dim^(-1/p).
-    """
-    p = 1.0 if space.kind == "l1" else space.p
-    if p is not None and p < 2.0 and space.dim ** (-1.0 / p) <= gap:
-        raise UsageError(
-            f"no point of the unit sphere of the {space.kind} gauge in C^{space.dim} "
-            f"is {gap:g} off its non-smooth set; lower --dim"
-        )
 
 
 def run_campaign(cfg: CampaignConfig) -> CampaignReport:

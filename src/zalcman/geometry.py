@@ -349,7 +349,14 @@ def sphere_rows(
     2 dim, start)``, so a caller that draws more of each sample takes them
     in the same call; a row that lands at the origin or within min_gap of E
     draws its next attempt, so each row depends on (seed, its index) alone.
+    Raises SamplingError before any attempt when no sphere point is min_gap
+    off E: on l1 and lp with p < 2 a unit vector has a coordinate modulus at
+    most dim^(-1/p).
     """
+    p = 1.0 if space.kind == "l1" else space.p
+    if p is not None and p < 2.0 and space.dim ** (-1.0 / p) <= min_gap:
+        raise SamplingError(f"no point of the unit sphere of the {space.kind} gauge in "
+                            f"C^{space.dim} is {min_gap:g} off its non-smooth set")
     indices = np.asarray(indices)
     width = 2 * space.dim
     out = np.empty((len(indices), space.dim), dtype=complex)

@@ -21,6 +21,13 @@ functional, so one pairing route (``pairing_rows``, ``functional_A``,
 |A2 A3 - A4| = |J_{2,3}| of g never exceeds 2, with equality on the
 Koebe-type maps built by ``make_extremal_ball`` and ``make_extremal_domain``.
 
+The campaigns check the product form A2 A3 - A4 on z f(z) maps only; there
+the composition forms l_u(P_2(u, P_3(u)) - P_4(u)) and
+l_u(P_3(u, u, P_2(u)) - P_4(u)) of the homogeneous parts P_k agree with it.
+Off that family they differ: at |u_1| = 19/20 the starlike Roper-Suffridge
+extension Phi_{1/2,1/2} of the Koebe function on B^2 has product form
+1038185099/512000000 > 2.
+
 Batches of maps are padded arrays: weights (rows, atoms) and covectors
 (rows, atoms, dim), a power of two of atoms, whose padding atoms have
 weight 0 and covector 0; the atom rows follow the rules of ``herglotz``.

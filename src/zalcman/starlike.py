@@ -230,8 +230,6 @@ class _Cycle(NamedTuple):
     sign: np.ndarray  # +1.0 or -1.0: the trial moves its coordinate by sign * step
     column: np.ndarray  # atom whose weight or angle the trial moves
     weight: np.ndarray  # the weight trials
-    angle: np.ndarray  # the angle trials
-    rank: np.ndarray  # place of an angle trial among them, -1 for a weight trial
 
 
 def _cycle_layout(counts: np.ndarray, running: np.ndarray) -> _Cycle:
@@ -242,20 +240,18 @@ def _cycle_layout(counts: np.ndarray, running: np.ndarray) -> _Cycle:
     slots = size.repeat(size)
     position = np.arange(len(slots)) - start.repeat(size)
     coord, k = position // 2, slots // 4
-    w = coord < k
     return _Cycle(live, start, size, 4 * counts * running, live.repeat(size), slots, position,
-                  1.0 - 2.0 * (position % 2), coord % k, w.nonzero()[0], (~w).nonzero()[0],
-                  np.where(w, -1, np.cumsum(~w) - 1))
+                  1.0 - 2.0 * (position % 2), coord % k, (coord < k).nonzero()[0])
 
 
 def _cycle_trials(cycle, step, weights, angles, table):
     """Every trial of the ``cycle`` as (weights, phase tables, moved angles,
     moved columns), from its restart's weights, angles and table of node
     powers (see ``herglotz.phase_table``).  A weight trial is projected onto
-    the simplex in place.  An angle trial recomputes only the column of the
-    angle it moves (column ``cycle.rank`` of the moved columns) from one cos
-    and sin.  So every trial's table is ``phase_table`` of its angles bit
-    for bit, and ``table_values`` ranks it as ``zalcman_values`` would.
+    the simplex in place.  Every trial recomputes the column of the atom it
+    moves from one cos and sin of its angle (a weight trial adds 0.0 to it),
+    so every trial's table is ``phase_table`` of its angles bit for bit, and
+    ``table_values`` ranks it as ``zalcman_values`` would.
 
     A trial moves one weight of a unit sum by less than 1 while every step
     is below 1, so its projection is never empty; an empty one raises.
@@ -264,16 +260,16 @@ def _cycle_trials(cycle, step, weights, angles, table):
     # gathers them, about twice as fast as take along the table's last axis.
     tw, tt = weights.repeat(cycle.repeats, axis=0), table.repeat(cycle.repeats, axis=2)
     delta = step.repeat(cycle.repeats) * cycle.sign
-    iw, ia = cycle.weight, cycle.angle
+    iw = cycle.weight
     w = tw.take(iw, axis=0)
     w[np.arange(len(iw)), cycle.column.take(iw)] += delta.take(iw)
     tw[iw], ok = project_simplex(w)
     if not ok.all():
         raise RuntimeError("a weight trial has no simplex projection: every step must be below 1")
-    ca = cycle.column.take(ia)
-    moved = angles[cycle.owner.take(ia), ca] + delta.take(ia)
+    delta[iw] = 0.0
+    moved = angles[cycle.owner, cycle.column] + delta
     columns = phase_table(moved[:, None], table.shape[1] // 2)[0]
-    tt[ca, :, ia] = columns.T
+    tt[cycle.column, :, np.arange(len(moved))] = columns.T
     return tw, tt, moved, columns
 
 
@@ -300,7 +296,7 @@ def search_extremal(order: ZalcmanOrder, budget: int, seed: int) -> SearchResult
     its first hit, else its 4k trials and the 4k - ``pos`` from a nonzero
     ``pos`` on once more, as the sequential search ranks those twice.  Each
     restart keeps the phase table of its current angles, so a round takes
-    one cos and sin per angle trial (``_cycle_trials``) and ranks every
+    one cos and sin per trial (``_cycle_trials``) and ranks every
     trial as ``zalcman_values`` would, bit for bit.  The result is that of
     running the restarts one after another.
     ``budget`` caps the evaluated trials, at most MAX_BUDGET (the starts
@@ -331,7 +327,8 @@ def search_extremal(order: ZalcmanOrder, budget: int, seed: int) -> SearchResult
     history = []
     while True:
         # What restarts 0..r-1 have evaluated so far bounds what restart r may.
-        running &= used < budget - (used.cumsum() - used)
+        left = budget - (used.cumsum() - used)
+        running &= used < left
         if not running.any():
             break
         if np.count_nonzero(running) < len(cycle.live):
@@ -350,25 +347,20 @@ def search_extremal(order: ZalcmanOrder, budget: int, seed: int) -> SearchResult
 
         slot = (first + at) % cycle.size
         won, a = live[found], (cycle.start + slot)[found]
+        # A winner writes back its moved angle and its column (tt is consumed).
+        ca = cycle.column.take(a)
+        angles[won, ca], table[ca, :, won] = moved.take(a), columns[:, a].T
         va, wa, aa = vals.take(a), tw.take(a, axis=0), angles.take(won, axis=0)
-        # A winning angle trial moves one angle and writes its one new column
-        # (tt is consumed).
-        rank = cycle.rank.take(a)
-        turned = rank >= 0
-        ca, ra = cycle.column.take(a[turned]), rank[turned]
-        aa[turned, ca] = moved.take(ra)
         history.append((won, used.take(won) - 1, va, wa, aa))
-        weights[won], angles[won], current[won] = wa, aa, va
-        table[ca, :, won[turned]] = columns[:, ra].T
+        weights[won], current[won] = wa, va
         pos[live] = np.where(found, (slot + 1) % cycle.size, 0)
         step[live[~found]] /= 2.0
         running &= step >= SEARCH_STEP_FLOOR
 
     # Run one after another, restart r would stop after `left[r]` evaluations
-    # and keep its last acceptance before that.  Accepted values rise within
-    # a restart, so the best candidate is the largest kept value, of the
-    # first restart that reaches it, if it beats the best start.
-    left = np.maximum(budget - (np.cumsum(used) - used), 0)
+    # (of the last round) and keep its last acceptance before that.  Accepted
+    # values rise within a restart, so the best candidate is the largest kept
+    # value, of the first restart that reaches it, if it beats the best start.
     if history:
         owner, index, vals, tw, ta = (np.concatenate(part) for part in zip(*history))
         kept = np.flatnonzero(index < left[owner])

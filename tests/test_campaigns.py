@@ -332,6 +332,23 @@ def test_gradients_configs_that_cannot_sample_are_usage_errors(capsys):
         assert err.count("\n") == 1 and err.startswith("error: ")
 
 
+def test_sharpness_dimensions_whose_direction_nears_e_are_usage_errors(capsys):
+    # The last coordinate of the dyadic ball direction, 2^-(dim-1)/rho, is
+    # below EXC_EPS on l1 from C^27 and on lp:1.5 from C^28 (at C^1100 it
+    # underflows to 0), so make_extremal_ball has no support covector there.
+    for norm, dim in (("l1", "27"), ("l1", "28"), ("lp:1.5", "28"), ("lp:1.5", "1100")):
+        assert main(["verify", "sharpness", "--norm", norm, "--dim", dim]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ") and err.endswith("; lower --dim\n")
+    # Only u must be off E: the closed form at 0.75 u needs no gradient, so
+    # lp:1.5 in C^27, where u is 1.1e-8 off E and 0.75 u is not, passes.
+    for norm, dim in (("l1", "26"), ("lp:1.5", "26"), ("lp:1.5", "27"),
+                      ("sup", "40"), ("l2", "40"), ("lp:3", "40")):
+        assert main(["verify", "sharpness", "--norm", norm, "--dim", dim]) == 0, (norm, dim)
+    capsys.readouterr()
+
+
 def test_cli_seed_defaults_to_zero_whatever_the_environment(capsys, monkeypatch):
     monkeypatch.setenv("ZALCMAN_SEED", "99")
     assert main(["verify", "zalcman1d", "--samples", "5"]) == 0
@@ -408,7 +425,7 @@ NAN_CASES = [
      _nan_entry_1_of_row_2, 0, 2),
     (small("reduction", samples=5, dim=2, norm="l1"), mappings, "pairing_rows",
      _nan_entry_1_of_row_2, 0, 2),
-    (small("sharpness", dim=2, norm="l1"), campaigns, "closed_form_values", _nan_a3, 0, 1),
+    (small("sharpness", dim=2, norm="l1"), campaigns, "closed_form_values", _nan_a3, 1, 1),
     (small("search", budget=300), campaigns, "search_extremal",
      lambda result: result._replace(value=math.nan), 0, 0),
 ]

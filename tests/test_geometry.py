@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from zalcman import geometry
 from zalcman.geometry import (
     Covector,
     ExceptionalPoint,
+    SamplingError,
     SpaceSpec,
     dual_norm,
     euclidean,
@@ -20,6 +22,7 @@ from zalcman.geometry import (
     POINT_RMAX,
     POINT_RMIN,
     sample_point,
+    sphere_rows,
     sup_space,
     support_covector,
     wirtinger_fd_gradient,
@@ -191,6 +194,20 @@ def test_samplers_respect_their_contracts(space):
         r = rho(space, z)
         assert POINT_RMIN - 1e-12 <= r <= POINT_RMAX + 1e-12
         assert exceptional_distance(space, z) >= 1e-3 - 1e-12
+
+
+@pytest.mark.parametrize("space", [l1_space(20), lp_space(90, 1.5)], ids=["l1-20", "lp1.5-90"])
+def test_sphere_rows_rejects_an_unreachable_gap_before_drawing(space, monkeypatch):
+    # dim^(-1/p) <= 0.05 bounds the smallest coordinate modulus of every unit
+    # vector, so no attempt can succeed and none is drawn.
+    def no_draws(*args):
+        raise AssertionError("drew an attempt")
+
+    monkeypatch.setattr(geometry, "uniforms", no_draws)
+    u = np.full((1, 2 * space.dim), 0.5)
+    with pytest.raises(SamplingError) as exc:
+        sphere_rows(space, u, 0, [0], 0, min_gap=0.05)
+    assert f"{space.kind} gauge in C^{space.dim} is 0.05 off" in str(exc.value)
 
 
 def test_sample_point_validates_radii():

@@ -2,6 +2,7 @@ import cmath
 import json
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -184,6 +185,66 @@ def test_closed_form_agrees_with_both_pairing_routes(space):
         for k in (2, 3, 4):
             assert abs(closed[k - 2] - functional_A(space, spec, z, k)) < 1e-12
             assert abs(closed[k - 2] - functional_B(space, spec, z, k)) < 1e-12
+
+
+def _binomial_series(c, sign, count):
+    """Coefficients of (1 + sign t)^c through t^(count - 1), exactly."""
+    out, term = [], Fraction(1)
+    for j in range(count):
+        out.append(term)
+        term = term * (c - j) / (j + 1) * sign
+    return out
+
+
+def _roper_suffridge_forms(alpha, beta, r):
+    """The product form A2 A3 - A4 and the composition forms Z_B2, Z_B3 of
+    Phi_{alpha,beta}(Koebe)(z) = (f(z_1), z_2 (f(z_1)/z_1)^alpha f'(z_1)^beta)
+    on the Euclidean ball B^2 at u = (r, sqrt(1 - r^2)), exactly, and the
+    coefficients e_0..e_3 of (f/t)^alpha f'^beta.
+
+    P_k(z) = D^k F(0)(z^k)/k! = (a_k z_1^k, e_{k-1} z_2 z_1^{k-1}) is linear
+    in z_2, so every vector met here is (x, c u_2) with x, c rational, held
+    as (x, c); l_u pairs it to r x + (1 - r^2) c.
+    """
+    a = (None, 1, 2, 3, 4)  # Koebe a_k = k, 1-based
+    # (f/t)^alpha f'^beta = (1 + t)^beta (1 - t)^(-2 alpha - 3 beta)
+    plus, minus = _binomial_series(beta, 1, 4), _binomial_series(-2 * alpha - 3 * beta, -1, 4)
+    e = [sum(plus[i] * minus[j - i] for i in range(j + 1)) for j in range(4)]
+
+    def polar(k, *vs):
+        """The symmetric k-linear polarization of P_k at vs."""
+        first = a[k] * math.prod(v[0] for v in vs)
+        second = sum(v[1] * math.prod(w[0] for w in vs[:i] + vs[i + 1:]) for i, v in enumerate(vs))
+        return first, e[k - 1] * second / k
+
+    def l_u(v):
+        return r * v[0] + (1 - r * r) * v[1]
+
+    u = (r, Fraction(1))
+    A2, A3, A4 = (l_u(polar(k, *[u] * k)) for k in (2, 3, 4))
+    p4 = polar(4, u, u, u, u)
+    b2, b3 = polar(2, u, polar(3, u, u, u)), polar(3, u, u, polar(2, u, u))
+    zb2 = l_u((b2[0] - p4[0], b2[1] - p4[1]))
+    zb3 = l_u((b3[0] - p4[0], b3[1] - p4[1]))
+    return A2 * A3 - A4, zb2, zb3, e
+
+
+def test_the_product_form_exceeds_2_off_the_zf_family():
+    # Phi_{1/2,1/2}(Koebe) is starlike on B^2 (generalized Roper-Suffridge
+    # extension; Graham, Hamada & Kohr, Canad. J. Math. 2002), yet at
+    # |u_1| = 19/20 its product form |A2 A3 - A4| is above 2.  The campaigns
+    # check the product form on the z f(z) family only, where the two
+    # composition forms agree with it; here they stay below 2.
+    r = Fraction(19, 20)
+    half = Fraction(1, 2)
+    product, zb2, zb3, e = _roper_suffridge_forms(half, half, r)
+    assert e == [1, 3, Fraction(11, 2), Fraction(17, 2)]
+    assert product == Fraction(1038185099, 512000000) > 2
+    assert zb2 == Fraction(24356309, 12800000) < 2
+    assert zb3 == Fraction(6111369, 3200000) < 2
+    # At (alpha, beta) = (1, 0) the map is z f(z_1)/z_1, a z f(z) map:
+    # A_k = u_1^{k-1} a_k, and all three forms equal 2 u_1^3.
+    assert _roper_suffridge_forms(1, 0, r)[:3] == (2 * r ** 3,) * 3
 
 
 def test_restrict_h_of_the_trivial_spec_is_one():

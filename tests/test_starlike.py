@@ -319,15 +319,18 @@ def test_cached_phase_tables_rank_trials_as_the_kernel_does(order, seed):
     running = (rng.random(restarts) < 0.8) | (np.arange(restarts) == 0)
     cycle = starlike._cycle_layout(counts, running)
     tw, tt, moved, columns = starlike._cycle_trials(cycle, step, weights, angles, table)
-    on_w, start = cycle.rank < 0, weights[cycle.owner]
+    trials = np.arange(len(tw))
+    on_w, start = np.isin(trials, cycle.weight), weights[cycle.owner]
     assert on_w.any() and (~on_w).any()
     assert (tw[on_w] == 0).sum() > (start[on_w] == 0).sum()
     assert len(tw) == len(cycle.owner) == (4 * counts[running]).sum()
-    turned = (~on_w).nonzero()[0]
     ta = angles[cycle.owner]
+    held = ta[trials, cycle.column]
     delta = step[cycle.owner] * cycle.sign
-    assert (moved == ta[turned, cycle.column[turned]] + delta[turned]).all()
-    ta[turned, cycle.column[turned]] = moved[cycle.rank[turned]]
+    # An angle trial moves its angle by sign * step; a weight trial keeps it.
+    assert (moved == np.where(on_w, held, held + delta)).all()
+    assert (moved[~on_w] != held[~on_w]).all()
+    ta[trials, cycle.column] = moved
     assert (tt == phase_table(ta, count)).all()
-    assert (tt[cycle.column[turned], :, turned] == columns[:, cycle.rank[turned]].T).all()
+    assert (tt[cycle.column, :, trials] == columns.T).all()
     assert (table_values(tw, tt, order) == zalcman_values(tw, ta, order)).all()

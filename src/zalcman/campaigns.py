@@ -68,7 +68,7 @@ from .starlike import MAX_BUDGET, ZalcmanOrder, search_extremal, zalcman_values
 TOLERANCE = 1e-9
 
 # Version of the report contract; CHANGES.md records what each bump changed.
-REPORT_VERSION = 8
+REPORT_VERSION = 9
 
 # Per-check residual tolerances for the identity campaigns; margins are
 # reported as 1 - residual/tolerance so the pass criterion is uniform.

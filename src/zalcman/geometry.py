@@ -20,10 +20,12 @@ vector or an array of vectors along its last axis, such as the
 gradient and finite-difference kernels take (rows, dim) arrays, and
 ``support_covector``, ``minkowski_gradient`` and ``wirtinger_fd_gradient``
 are batch-of-one calls into them.  The samplers turn uniforms of the
-counter-based stream of ``herglotz.uniforms`` into points: each takes the
-first attempt's uniforms from its caller, which draws them in the same call
-as the rest of each sample, and draws a rejected row's later attempts
-itself, so a row is a pure function of (seed, index).
+counter-based stream of ``herglotz.uniforms`` into points: each pair of
+uniforms is one complex draw uniform on the square [-1, 1]^2
+(``complex_uniforms``), and the gauge normalizes it onto the sphere.  Each
+sampler takes the first attempt's uniforms from its caller, which draws
+them in the same call as the rest of each sample, and draws a rejected
+row's later attempts itself, so a row is a pure function of (seed, index).
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ class ExceptionalPoint(ValueError):
 
 
 class SamplingError(RuntimeError):
-    """A sampled row kept landing at the origin or near E."""
+    """A sampled row kept landing near E."""
 
 
 class InvalidDirection(ValueError):
@@ -326,15 +328,14 @@ def wirtinger_fd_gradient(space: SpaceSpec, z) -> Covector:
     return Covector(tuple(fd_gradient_rows(space, _as_vec(z)[None])[0].tolist()))
 
 
-def gaussians(u: np.ndarray) -> np.ndarray:
-    """Complex normals with standard normal real and imaginary parts, from
-    uniform pairs (u[..., 2k], u[..., 2k + 1]) in (0, 1) by Box-Muller."""
-    radius = np.sqrt(-2.0 * np.log(u[..., 0::2]))
-    angle = 2.0 * np.pi * u[..., 1::2]
-    g = np.empty(radius.shape, dtype=complex)
-    g.real = radius * np.cos(angle)
-    g.imag = radius * np.sin(angle)
-    return g
+def complex_uniforms(u: np.ndarray) -> np.ndarray:
+    """Complex draws uniform on the square [-1, 1]^2, from uniform pairs
+    (u[..., 2k], u[..., 2k + 1]) in (0, 1) as real and imaginary parts.
+
+    A stream uniform is (k + 1/2) 2^-52, so each part (2k + 1 - 2^52) 2^-52
+    is never 0, and neither is the gauge or dual norm of a vector of draws.
+    """
+    return (2.0 * u - 1.0).view(complex)
 
 
 def sphere_rows(
@@ -343,12 +344,12 @@ def sphere_rows(
     """(len(indices), dim) points on the unit sphere of the gauge, at least
     min_gap off E, one per sample index of the counter stream of ``seed``.
 
-    Attempt k of a row normalizes the complex Gaussian of its draws
+    Attempt k of a row normalizes the ``complex_uniforms`` of its draws
     start + 2 dim k .. start + 2 dim (k + 1) - 1.  ``u`` holds attempt 0 of
     every row, the (rows, 2 dim) uniforms ``herglotz.uniforms(seed, indices,
     2 dim, start)``, so a caller that draws more of each sample takes them
-    in the same call; a row that lands at the origin or within min_gap of E
-    draws its next attempt, so each row depends on (seed, its index) alone.
+    in the same call; a row that lands within min_gap of E draws its next
+    attempt, so each row depends on (seed, its index) alone.
     Raises SamplingError before any attempt when no sphere point is min_gap
     off E: on l1 and lp with p < 2 a unit vector has a coordinate modulus at
     most dim^(-1/p).
@@ -364,11 +365,9 @@ def sphere_rows(
     for attempt in range(SPHERE_ATTEMPTS):
         if attempt:
             u = uniforms(seed, indices[todo], width, start + attempt * width)
-        g = gaussians(u)
-        r = rho(space, g)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            unit = g / r[:, None]
-            ok = (r != 0.0) & (exceptional_distance(space, unit) >= min_gap)
+        g = complex_uniforms(u)
+        unit = g / rho(space, g)[:, None]
+        ok = exceptional_distance(space, unit) >= min_gap
         out[todo[ok]] = unit[ok]
         todo = todo[~ok]
         if not todo.size:

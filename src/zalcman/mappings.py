@@ -54,8 +54,8 @@ from .geometry import (
     SpaceSpec,
     DIRECTION_TOL,
     check_off_exceptional,
+    complex_uniforms,
     dual_norm,
-    gaussians,
     norming_rows,
     pair,
     rho,
@@ -485,17 +485,16 @@ def spec_rows(space: SpaceSpec, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Returns weights (rows, SPEC_ATOMS) and covectors (rows, SPEC_ATOMS, dim):
     the ``herglotz.atom_counts`` and ``simplex_rows`` of a measure, with
-    each functional a complex Gaussian covector (Box-Muller) rescaled to a
-    dual norm drawn from [0.25, 1], keeping the map holomorphic on the open
-    unit ball of the gauge.  Atoms past the count are padding of weight 0
-    and covector 0, so a row's map is its atoms of positive weight: there
-    are no counts.
+    each functional a covector of ``complex_uniforms`` (entries uniform on
+    the square [-1, 1]^2) rescaled to a dual norm drawn from [0.25, 1],
+    keeping the map holomorphic on the open unit ball of the gauge.  Atoms
+    past the count are padding of weight 0 and covector 0, so a row's map
+    is its atoms of positive weight: there are no counts.
     """
     lams, live = simplex_rows(u[:, 1 : 1 + SPEC_ATOMS], atom_counts(u[:, 0], SPEC_ATOMS))
     scales = 0.25 + 0.75 * u[:, 1 + SPEC_ATOMS : 1 + 2 * SPEC_ATOMS]
-    g = gaussians(u[:, 1 + 2 * SPEC_ATOMS :].reshape(len(u), SPEC_ATOMS, 2 * space.dim))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        covs = g * (scales / dual_norm(space, g))[:, :, None]
+    g = complex_uniforms(u[:, 1 + 2 * SPEC_ATOMS :].reshape(len(u), SPEC_ATOMS, 2 * space.dim))
+    covs = g * (scales / dual_norm(space, g))[:, :, None]
     covs = np.where(live[:, :, None], covs, 0.0)
     check_spec_rows(lams, covs)
     return lams, covs

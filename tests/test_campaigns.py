@@ -183,19 +183,22 @@ def test_json_rendering_is_deterministic_and_roundtrips():
     "cfg,fmt,digest",
     [
         (CampaignConfig("search", seed=0, order=(2, 3), budget=20000), "json",
-         "f06a9f80b52dafd34328ae943f7a55d1ee679260988b4338375ad4a971e7ab19"),
+         "d1221bf16015f34a013a1faa99e8fce48dc95d8bffd423e614f80bf97936b4e3"),
         (CampaignConfig("search", seed=1, order=(4, 4), budget=1500), "csv",
          "6c0be1590a8589091cf75cb79e577dfab36e2318facdf19f514c1620856c4a4f"),
         (CampaignConfig("ball", seed=5, samples=200, dim=3, norm="lp:3"), "csv",
-         "126d9ab280e7988348b2e037ed21aeb5eaeaab32d4dcccd90c483afe562567d1"),
+         "7690abc98529db1d88741383801bd328ef98ce7a9002b9c41ee6079b496af4db"),
+        # perfbench's lifted domain config.
+        (CampaignConfig("domain", seed=5, samples=200, dim=3, norm="sup"), "csv",
+         "b25ad87c977d5f710d8beea03c5641aeb590ad75d59804c6d4b1e93167b5491b"),
         # Many gradients rows on the l1 sphere of C^5 reject their first
         # direction and take a later one.
         (CampaignConfig("gradients", seed=5, samples=200, dim=5, norm="l1"), "csv",
-         "bda14da9067d73c893bf57d7318bc116e4a0c5d061444e452d67a5a044bda6d3"),
+         "1bf4dc9b91fbbcc97ab3e27a1b42ef3a3168cb2e1c1e22ae4479152e17243463"),
         (CampaignConfig("reduction", seed=5, samples=200, dim=2, norm="lp:1.5"), "csv",
-         "b0fcad9fd85e9e33098755ac7eb0d9858372bba4300d13154e1934e6dc5be39b"),
+         "a144343cbd27a47265f44f5dd0bfd72aae611330aafb8d024d9d7d01cba13dc2"),
     ],
-    ids=["23-json", "44-csv", "ball-lp3-csv", "gradients-l1-csv", "reduction-lp1.5-csv"],
+    ids=["23-json", "44-csv", "ball-lp3-csv", "domain-sup-csv", "gradients-l1-csv", "reduction-lp1.5-csv"],
 )
 def test_search_report_bytes_are_pinned(cfg, fmt, digest):
     # Report bytes are a contract: a change that moves them takes a new
@@ -330,6 +333,13 @@ def test_gradients_configs_that_cannot_sample_are_usage_errors(capsys):
         out, err = capsys.readouterr()
         assert out == ""
         assert err.count("\n") == 1 and err.startswith("error: ")
+
+
+def test_gradients_on_l1_in_c14_samples_at_the_default_count(capsys):
+    # Square-law directions land 0.05 off E on the l1 sphere of C^14 within
+    # 1000 attempts for each of the default 1000 samples of seed 0.
+    assert main(["verify", "gradients", "--norm", "l1", "--dim", "14"]) == 0
+    assert capsys.readouterr().err.endswith("violations=0 PASS\n")
 
 
 def test_sharpness_dimensions_whose_direction_nears_e_are_usage_errors(capsys):

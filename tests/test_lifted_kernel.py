@@ -21,12 +21,13 @@ from zalcman import (
 from zalcman import campaigns, mappings
 from zalcman.campaigns import SAMPLE_BLOCK, render_report, space_of
 from zalcman.geometry import (
+    complex_uniforms,
     dual_norm,
     exceptional_distance,
     fd_gradient_rows,
-    gaussians,
     gradient_rows,
     minkowski_gradient,
+    sphere_rows,
     support_covector,
     support_rows,
     wirtinger_fd_gradient,
@@ -156,10 +157,19 @@ def test_sampled_maps_and_points_keep_their_contracts():
     gauges = rho(space, z)
     assert gauges.min() >= 0.05 and gauges.max() <= 0.95
     assert exceptional_distance(space, z).min() >= 1e-8
-    # Box-Muller normals: standard real and imaginary parts.
-    g = gaussians(uniforms(3, np.arange(20_000), 2))[:, 0]
-    for part in (g.real, g.imag):
-        assert abs(part.mean()) < 0.03 and abs(part.std() - 1.0) < 0.03
+    # Square-law draws: uniform pair (a, b) is the complex draw (2a - 1) + (2b - 1)i.
+    u = uniforms(3, np.arange(20_000), 2)
+    assert complex_uniforms(u)[:, 0].tolist() == [complex(2 * a - 1, 2 * b - 1) for a, b in u.tolist()]
+    # A live covector is the draw of its 2 dim uniforms rescaled to its
+    # dual-norm scale, bit for bit.
+    u = uniforms(cfg.seed, np.arange(cfg.samples), spec_draws(space))
+    g = complex_uniforms(u[:, 1 + 2 * SPEC_ATOMS :].reshape(-1, SPEC_ATOMS, 2 * space.dim))
+    scales = 0.25 + 0.75 * u[:, 1 + SPEC_ATOMS : 1 + 2 * SPEC_ATOMS]
+    assert np.array_equal(covs[live], (g * (scales / dual_norm(space, g))[:, :, None])[live])
+    # A sphere row accepted at its first attempt is its draw over the gauge.
+    u = uniforms(cfg.seed, [0], 2 * space.dim)
+    g = complex_uniforms(u)
+    assert sphere_rows(space, u, cfg.seed, [0], 0).tolist() == (g / rho(space, g)[:, None]).tolist()
 
 
 @pytest.mark.parametrize("campaign", ["ball", "domain", "gradients", "reduction"])
@@ -191,7 +201,7 @@ def test_a_row_after_a_rejected_attempt_replays_identically():
     cfg = config("gradients", "l1", 5, samples=40)
     space = space_of(cfg)
     z, residuals = campaigns._gradient_rows(cfg, space, np.arange(40))
-    first = gaussians(uniforms(cfg.seed, np.arange(40), 2 * space.dim, start=1))
+    first = complex_uniforms(uniforms(cfg.seed, np.arange(40), 2 * space.dim, start=1))
     first = first / rho(space, first)[:, None]
     rejected = np.flatnonzero(exceptional_distance(space, first) < campaigns.GRAD_MIN_GAP)
     assert rejected.size

@@ -1,7 +1,7 @@
 """The README's library example prints what its comments say, its
-command-line section names exactly the flags the parser takes, and the
-package namespace re-exports exactly what the example and the acceptance
-tests import from it."""
+command-line section names exactly the flags the parser takes, it states
+the current report version, and the package namespace re-exports exactly
+what the example and the acceptance tests import from it."""
 
 import ast
 import contextlib
@@ -12,6 +12,7 @@ import types
 from pathlib import Path
 
 import zalcman
+from zalcman.campaigns import REPORT_VERSION
 from zalcman.cli import build_parser
 
 from support import command_flags
@@ -64,6 +65,11 @@ def test_readme_command_line_lists_exactly_the_parser_flags():
     parsed = command_flags(build_parser())
     assert _documented_flags() == parsed
     assert set(re.findall(FLAG, _command_line_section())) == set().union(*parsed.values())
+
+
+def test_readme_states_the_current_report_version():
+    versions = re.findall(r"`version` \(currently (\d+)\)", README.read_text(encoding="utf-8"))
+    assert versions == [str(REPORT_VERSION)]
 
 
 def _package_imports(source: str) -> set[str]:

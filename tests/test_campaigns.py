@@ -197,8 +197,15 @@ def test_json_rendering_is_deterministic_and_roundtrips():
          "1bf4dc9b91fbbcc97ab3e27a1b42ef3a3168cb2e1c1e22ae4479152e17243463"),
         (CampaignConfig("reduction", seed=5, samples=200, dim=2, norm="lp:1.5"), "csv",
          "a144343cbd27a47265f44f5dd0bfd72aae611330aafb8d024d9d7d01cba13dc2"),
+        # reduction pairs each covector with support_rows: the l1 and sup
+        # branches of its closed form.
+        (CampaignConfig("reduction", seed=5, samples=200, dim=3, norm="l1"), "csv",
+         "799b222cb5e238233faef294ab93853f1a91b3b23f3b9caf8ceeb0a6613a86c6"),
+        (CampaignConfig("reduction", seed=5, samples=200, dim=3, norm="sup"), "csv",
+         "7704d587e46ea2ec09e7c5a1a575bc20fbc767d7fc7dd64f2c0833de53d2c37b"),
     ],
-    ids=["23-json", "44-csv", "ball-lp3-csv", "domain-sup-csv", "gradients-l1-csv", "reduction-lp1.5-csv"],
+    ids=["23-json", "44-csv", "ball-lp3-csv", "domain-sup-csv", "gradients-l1-csv", "reduction-lp1.5-csv",
+         "reduction-l1-csv", "reduction-sup-csv"],
 )
 def test_search_report_bytes_are_pinned(cfg, fmt, digest):
     # Report bytes are a contract: a change that moves them takes a new

@@ -41,6 +41,7 @@ from .geometry import (
     ExceptionalPoint,
     SamplingError,
     SpaceSpec,
+    euclidean,
     fd_gradient_rows,
     gradient_rows,
     l1_space,
@@ -162,16 +163,16 @@ class CampaignReport:
         return obj
 
 
+# The named --norm tokens; lp:P takes any other exponent.
+_NORMS = {"l2": euclidean, "sup": sup_space, "l1": l1_space}
+
+
 def space_of(cfg: CampaignConfig) -> SpaceSpec:
-    """SpaceSpec for the --norm token: l2, sup, l1, or lp:P; SpaceSpec
+    """SpaceSpec for the --norm token: l2, sup, l1, or lp:P; ``lp_space``
     raises ValueError unless 1 < P < inf."""
     token = cfg.norm
-    if token == "l2":
-        return lp_space(cfg.dim, 2.0)
-    if token == "sup":
-        return sup_space(cfg.dim)
-    if token == "l1":
-        return l1_space(cfg.dim)
+    if token in _NORMS:
+        return _NORMS[token](cfg.dim)
     if token.startswith("lp:"):
         try:
             p = float(token[3:])
@@ -344,7 +345,7 @@ def _run_sharpness(cfg: CampaignConfig, space: SpaceSpec):
         ball = make_extremal_ball(space, u)
     except ExceptionalPoint as exc:
         raise UsageError(f"{exc} in C^{space.dim}; lower --dim") from exc
-    zd = 0.75 * (u if space.kind == "sup" else np.eye(space.dim, dtype=complex)[0])
+    zd = 0.75 * (u if space.p == math.inf else np.eye(space.dim, dtype=complex)[0])
     rays = [("ball", ball, 0.75 * u), ("domain", make_extremal_domain(space), zd)]
     checks = [(mode, *closed_form_values(spec, z, rho(space, z))) for mode, spec, z in rays]
 

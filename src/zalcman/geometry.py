@@ -1,9 +1,10 @@
 """Minkowski gauges on C^n, their support functionals and Wirtinger gradients.
 
-Three norm families are implemented: ell^p (1 < p < infinity), the sup norm
-(polydisk gauge) and the ell^1 norm.  For each gauge rho the canonical
-support functional l_z (norm one, l_z(z) = rho(z)) has a closed form, and
-the Wirtinger gradient of rho is exactly half of it, so
+A space is C^n with the ell^p gauge of one exponent 1 <= p <= infinity:
+p = infinity is the sup norm (polydisk gauge) and p = 1 the ell^1 norm.
+For each gauge rho the canonical support functional l_z (norm one,
+l_z(z) = rho(z)) has a closed form, and the Wirtinger gradient of rho is
+exactly half of it, so
 
     2 (d rho / dz) z = rho(z)
 
@@ -12,11 +13,12 @@ ties for sup, coordinate zeros for ell^1 and 1 < p < 2).  Gradients are
 validated elsewhere against central finite differences of rho on R^{2n}
 with the convention d/dz = (d/dx - i d/dy)/2.
 
-The gauge and the dual norm are one kernel, ``_norm_rows``: the dual of
-ell^p is ell^q with q = p/(p-1), and the sup and ell^1 norms are dual to
-each other.  The gauge, the distance to E and the dual norm take one
-vector or an array of vectors along its last axis, such as the
-(rows, atoms, dim) covectors of a batch of lifted maps; the covector,
+The gauge and the dual norm are one kernel, ``_norm_rows``: the dual norm
+is the gauge of ``SpaceSpec.dual()``, ell^q with q = p/(p-1), where sup
+and ell^1 swap.  A covector attains its dual norm at its support
+functional for the dual gauge.  The gauge, the distance to E and the dual
+norm take one vector or an array of vectors along its last axis, such as
+the (rows, atoms, dim) covectors of a batch of lifted maps; the covector,
 gradient and finite-difference kernels take (rows, dim) arrays, and
 ``support_covector``, ``minkowski_gradient`` and ``wirtinger_fd_gradient``
 are batch-of-one calls into them.  The samplers turn uniforms of the
@@ -66,26 +68,35 @@ class InvalidDirection(ValueError):
 
 @dataclass(frozen=True)
 class SpaceSpec:
-    """C^dim with one of the gauges: ell^p ("lp"), sup norm, or ell^1."""
+    """C^dim with the ell^p gauge, 1 <= p <= inf: p = inf is the sup norm
+    and p = 1 the ell^1 norm."""
 
     dim: int
-    kind: str            # "lp" | "sup" | "l1"
-    p: float | None = None
+    p: float
 
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
-        if self.kind not in ("lp", "sup", "l1"):
-            raise ValueError(f"unknown gauge kind {self.kind!r}")
-        if self.kind == "lp":
-            if self.p is None or not 1.0 < self.p < math.inf:
-                raise ValueError("lp gauge needs 1 < p < inf")
-        elif self.p is not None:
-            raise ValueError(f"kind {self.kind!r} takes no exponent")
+        if not 1.0 <= self.p <= math.inf:  # NaN fails too
+            raise ValueError("gauge exponent needs 1 <= p <= inf")
+
+    @property
+    def kind(self) -> str:
+        """The name of the gauge family, "sup", "l1" or "lp", for messages."""
+        return "sup" if self.p == math.inf else "l1" if self.p == 1.0 else "lp"
+
+    def dual(self) -> "SpaceSpec":
+        """The dual gauge: ell^q with q = p/(p-1); sup and ell^1 swap."""
+        q = math.inf if self.p == 1.0 else 1.0 if self.p == math.inf else self.p / (self.p - 1.0)
+        return SpaceSpec(self.dim, q)
 
 
 def lp_space(dim: int, p: float) -> SpaceSpec:
-    return SpaceSpec(dim, "lp", float(p))
+    """ell^p with 1 < p < inf; the endpoints are ``l1_space`` and ``sup_space``."""
+    p = float(p)
+    if not 1.0 < p < math.inf:
+        raise ValueError("lp gauge needs 1 < p < inf")
+    return SpaceSpec(dim, p)
 
 
 def euclidean(dim: int) -> SpaceSpec:
@@ -93,11 +104,11 @@ def euclidean(dim: int) -> SpaceSpec:
 
 
 def sup_space(dim: int) -> SpaceSpec:
-    return SpaceSpec(dim, "sup")
+    return SpaceSpec(dim, math.inf)
 
 
 def l1_space(dim: int) -> SpaceSpec:
-    return SpaceSpec(dim, "l1")
+    return SpaceSpec(dim, 1.0)
 
 
 @dataclass(frozen=True)
@@ -147,17 +158,17 @@ def _shaped(values: np.ndarray, lead: tuple):
     return float(values[0]) if lead == () else values.reshape(lead)
 
 
-def _norm_rows(v: np.ndarray, kind: str, p: float | None) -> np.ndarray:
-    """The p-norm ("lp"), largest entry ("sup") or sum ("l1") of every row
-    of a (rows, dim) array of moduli.
+def _norm_rows(v: np.ndarray, p: float) -> np.ndarray:
+    """The p-norm of every row of a (rows, dim) array of moduli: its
+    largest entry for p = inf, its sum for p = 1.
 
     When a power sum leaves the normal range [tiny, inf) (a subnormal sum
     keeps only a few significant bits), its row factors out its largest
     entry; a zero, infinite or NaN largest entry is the norm itself.
     """
-    if kind == "sup":
+    if p == math.inf:
         return v.max(axis=1)
-    if kind == "l1":
+    if p == 1.0:
         return v.sum(axis=1)
     # An overflowing power sum is expected: the fallback takes its row.
     with np.errstate(over="ignore"):
@@ -177,7 +188,7 @@ def rho(space: SpaceSpec, z):
     vector gives a float, an array of vectors an array of its leading
     shape."""
     v, lead = _moduli(space, z)
-    return _shaped(_norm_rows(v, space.kind, space.p), lead)
+    return _shaped(_norm_rows(v, space.p), lead)
 
 
 def exceptional_distance(space: SpaceSpec, z):
@@ -188,12 +199,12 @@ def exceptional_distance(space: SpaceSpec, z):
     off the origin, so the distance is +inf.
     """
     v, lead = _moduli(space, z)
-    if space.kind == "sup":
+    if space.p == math.inf:
         if space.dim == 1:
             return _shaped(v[:, 0], lead)
         top2 = np.partition(v, space.dim - 2, axis=1)[:, -2:]
         return _shaped(top2[:, 1] - top2[:, 0], lead)
-    if space.kind == "l1" or (space.kind == "lp" and space.p < 2.0):
+    if space.p < 2.0:
         return _shaped(v.min(axis=1), lead)
     return _shaped(np.full(len(v), math.inf), lead)
 
@@ -217,30 +228,35 @@ def support_rows(space: SpaceSpec, v: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Entries of the canonical support functional l_z of every row of a
     (rows, dim) array already checked off E, given its gauges r.
 
-    lp:  rho^{1-p} |z_i|^{p-2} conj(z_i)   (0 for z_i = 0, p > 2), as
+    sup: conj(z_j)/|z_j| at the first maximizing index j;
+    l1:  conj(z_i)/|z_i| in every coordinate (0 for z_i = 0);
+    lp:  rho^{1-p} |z_i|^{p-2} conj(z_i)   (0 for z_i = 0), as
          (|z_i|/rho)^{p-2} conj(z_i)/rho in the rows where rho^{1-p}
-         leaves the normal range [tiny, inf);
-    sup: conj(z_j)/|z_j| at the unique maximizing index j;
-    l1:  conj(z_i)/|z_i| in every coordinate.
+         leaves the normal range [tiny, inf).
+
+    Read for the dual gauge, ``support_rows(space.dual(), b, dual_norm(space,
+    b))`` is a unit-gauge point z with sum_i b_i z_i = dual_norm(space, b)
+    for any nonzero covectors b, zero entries included.
     """
     mods = np.abs(v)
-    if space.kind == "lp":
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            scale = r ** (1.0 - space.p)
-            entries = scale[:, None] * mods ** (space.p - 2.0) * np.conj(v)
-            off = ~((_FLOAT_TINY <= scale) & (scale < math.inf))
-            if off.any():
-                # rho^{1-p} overflows at small gauges and underflows at large
-                # ones; scaling each coordinate by rho first keeps it in range.
-                rb = r[off, None]
-                entries[off] = (mods[off] / rb) ** (space.p - 2.0) * np.conj(v[off]) / rb
-        return np.where(mods > 0.0, entries, 0.0)
-    if space.kind == "sup":
+    if space.p == math.inf:
         rows, j = np.arange(len(v)), np.argmax(mods, axis=1)
         entries = np.zeros(v.shape, dtype=complex)
         entries[rows, j] = np.conj(v[rows, j]) / mods[rows, j]
         return entries
-    return np.conj(v) / mods
+    if space.p == 1.0:
+        # A zero coordinate divides 0 by 1.
+        return np.conj(v) / np.where(mods > 0.0, mods, 1.0)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        scale = r ** (1.0 - space.p)
+        entries = scale[:, None] * mods ** (space.p - 2.0) * np.conj(v)
+        off = ~((_FLOAT_TINY <= scale) & (scale < math.inf))
+        if off.any():
+            # rho^{1-p} overflows at small gauges and underflows at large
+            # ones; scaling each coordinate by rho first keeps it in range.
+            rb = r[off, None]
+            entries[off] = (mods[off] / rb) ** (space.p - 2.0) * np.conj(v[off]) / rb
+    return np.where(mods > 0.0, entries, 0.0)
 
 
 def gradient_rows(space: SpaceSpec, z: np.ndarray) -> np.ndarray:
@@ -261,43 +277,15 @@ def minkowski_gradient(space: SpaceSpec, z) -> Covector:
     return Covector(tuple(gradient_rows(space, _as_vec(z)[None])[0].tolist()))
 
 
-# The dual norm family of each gauge family.
-_DUAL_KIND = {"lp": "lp", "sup": "l1", "l1": "sup"}
-
-
 def dual_norm(space: SpaceSpec, b):
     """Operator norm of the functional w -> sum b_i w_i on the gauge ball;
     ``b`` is a Covector, one entry sequence, or an array of them along its
-    last axis.  It is the gauge of the dual family: ell^q with
-    q = p/(p-1) for ell^p, ell^1 for sup, sup for ell^1."""
+    last axis.  It is the gauge of ``space.dual()``."""
     entries = np.abs(_as_vec(b.entries if isinstance(b, Covector) else b))
     if entries.ndim == 0 or entries.shape[-1] != space.dim:
         raise ValueError(f"expected covectors of length {space.dim}")
-    q = space.p / (space.p - 1.0) if space.kind == "lp" else None
-    norms = _norm_rows(entries.reshape(-1, space.dim), _DUAL_KIND[space.kind], q)
+    norms = _norm_rows(entries.reshape(-1, space.dim), space.dual().p)
     return _shaped(norms, entries.shape[:-1])
-
-
-def norming_rows(space: SpaceSpec, b: np.ndarray) -> np.ndarray:
-    """Points z of unit gauge with sum_i b_i z_i = dual_norm(b), up to
-    rounding, for every row of a (rows, dim) array of nonzero covectors.
-
-    lp:  z_i proportional to |b_i|^(q-1) conj(b_i)/|b_i|, q = p/(p-1)
-         (0 for b_i = 0);
-    sup: z_i = conj(b_i)/|b_i| in every coordinate (1 for b_i = 0);
-    l1:  conj(b_j)/|b_j| at the first index j of the largest |b_j|, 0 elsewhere.
-    """
-    mods = np.abs(b)
-    live = mods > 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        phase = np.where(live, np.conj(b) / mods, 1.0)
-        if space.kind == "lp":
-            z = np.where(live, mods ** (space.p / (space.p - 1.0) - 1.0), 0.0) * phase
-        elif space.kind == "sup":
-            z = phase
-        else:
-            z = np.where(np.arange(b.shape[-1]) == np.argmax(mods, axis=1)[:, None], phase, 0.0)
-    return z / rho(space, z)[:, None]
 
 
 def fd_gradient_rows(space: SpaceSpec, z: np.ndarray) -> np.ndarray:
@@ -354,8 +342,7 @@ def sphere_rows(
     off E: on l1 and lp with p < 2 a unit vector has a coordinate modulus at
     most dim^(-1/p).
     """
-    p = 1.0 if space.kind == "l1" else space.p
-    if p is not None and p < 2.0 and space.dim ** (-1.0 / p) <= min_gap:
+    if space.p < 2.0 and space.dim ** (-1.0 / space.p) <= min_gap:
         raise SamplingError(f"no point of the unit sphere of the {space.kind} gauge in "
                             f"C^{space.dim} is {min_gap:g} off its non-smooth set")
     indices = np.asarray(indices)

@@ -309,7 +309,10 @@ def sample_measure(seed: int, index: int = 0) -> HerglotzMeasure:
     """Measure of sample ``index`` under ``seed``: row 0 of a batch of one.
 
     The same measure ``sample_batch(seed, [..., index, ...])`` returns in
-    that index's row, atom for atom.
+    that index's row, atom for atom.  Raises ValueError unless ``index`` is
+    an integer in [0, 2^64), the range of the counter stream.
     """
+    if not isinstance(index, (int, np.integer)) or not 0 <= int(index) < 2**64:
+        raise ValueError(f"sample index must be an integer in [0, 2^64), got {index!r}")
     weights, angles = sample_batch(seed, [index])
     return HerglotzMeasure.from_row(weights[0], angles[0])

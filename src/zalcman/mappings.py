@@ -56,7 +56,6 @@ from .geometry import (
     check_off_exceptional,
     complex_uniforms,
     dual_norm,
-    norming_rows,
     pair,
     rho,
     sphere_rows,
@@ -338,9 +337,10 @@ def pole_witness(space: SpaceSpec, spec) -> ScanWitness | None:
     """A point where Re h <= 0, in closed form, when some atom of positive
     weight has dual norm above 1 + DUAL_NORM_TOL; None otherwise.
 
-    At the unit-gauge norming point z0 of the atom k of largest dual norm
-    (``geometry.norming_rows``), x_k = b_k(z0) = ||b_k||_* > 1 puts the pole
-    1/x_k of its term inside the disk.  At zeta = (1 + eps)/x_k, with
+    Let k be the atom of largest dual norm, and z0 the support functional
+    of b_k for the dual gauge ``space.dual()``, a unit-gauge point where
+    x_k = b_k(z0) = ||b_k||_* > 1 puts the pole 1/x_k of its term inside
+    the disk.  At zeta = (1 + eps)/x_k, with
     0 < eps < |x_k| - 1 so that |zeta| < 1, that term is
     -2 lam_k (1 + eps)/eps.  From eps = (|x_k| - 1)/2, while Re h > 0, eps
     becomes the least of eps/2 and lam_k/(B + 1), B the rest of Re h, but
@@ -352,7 +352,7 @@ def pole_witness(space: SpaceSpec, spec) -> ScanWitness | None:
     if not np.max(norms, initial=0.0) > 1.0 + DUAL_NORM_TOL:
         return None
     k = int(np.argmax(norms))
-    z0 = norming_rows(space, covs[k][None])[0]
+    z0 = support_rows(space.dual(), covs[k][None], norms[k, None])[0]
     x = pair(covs, z0)
     bz, others = complex(x[k]), np.arange(len(lams)) != k
     eps = (abs(bz) - 1.0) / 2.0

@@ -86,6 +86,12 @@ def lifted_specs(space, max_atoms: int = 3) -> st.SearchStrategy[LiftedMapSpec]:
     )
 
 
+def space_id(space) -> str:
+    """The test id of a gauge: its family name, and the exponent of an lp
+    gauge, such as lp3.0, sup or l1."""
+    return space.kind + (str(space.p) if space.kind == "lp" else "")
+
+
 def command_flags(parser: argparse.ArgumentParser, words: tuple = ()) -> dict[str, set[str]]:
     """{command line words, such as "verify ball": its long options but
     --help} for every leaf command of the parser."""

@@ -29,6 +29,7 @@ from zalcman.campaigns import (
     subseed,
 )
 from zalcman.cli import build_parser, main
+from zalcman.geometry import SpaceSpec
 from zalcman.mappings import LiftedMapSpec
 
 from support import command_flags
@@ -111,11 +112,8 @@ def test_inconsistent_configs_raise_usage_errors(cfg):
 
 
 def test_norm_tokens_cover_all_families():
-    assert space_of(CampaignConfig("ball", dim=4, norm="l2")).p == 2.0
-    assert space_of(CampaignConfig("ball", dim=4, norm="sup")).kind == "sup"
-    assert space_of(CampaignConfig("ball", dim=4, norm="l1")).kind == "l1"
-    s = space_of(CampaignConfig("ball", dim=4, norm="lp:3.5"))
-    assert s.kind == "lp" and s.p == 3.5
+    for token, p in (("l2", 2.0), ("sup", math.inf), ("l1", 1.0), ("lp:3.5", 3.5)):
+        assert space_of(CampaignConfig("ball", dim=4, norm=token)) == SpaceSpec(4, p)
 
 
 def test_the_gate_tolerance_is_not_a_config_field():

@@ -147,6 +147,20 @@ def test_sample_measure_is_row_of_its_batch():
     assert sample_measure(9, 17) != sample_measure(9, 4)
 
 
+@pytest.mark.parametrize("index", [1.5, -1, 2**64, "3", None])
+def test_sample_measure_rejects_an_index_off_the_stream(index):
+    # A float index used to round to a neighbouring sample, and an index
+    # outside the uint64 counter raised OverflowError from numpy.
+    with pytest.raises(ValueError, match="sample index must be an integer"):
+        sample_measure(0, index)
+
+
+def test_sample_measure_takes_every_counter_index():
+    weights, angles = sample_batch(0, np.array([2**64 - 1], dtype=np.uint64))
+    assert sample_measure(0, 2**64 - 1) == HerglotzMeasure.from_row(weights[0], angles[0])
+    assert sample_measure(0, np.int64(17)) == sample_measure(0, 17)
+
+
 def test_uniforms_lie_strictly_inside_the_unit_interval():
     u = uniforms(2**70 + 3, np.arange(2000), SAMPLE_DRAWS)
     assert u.shape == (2000, SAMPLE_DRAWS)
